@@ -1,0 +1,109 @@
+"""Golden digests of the numerical routes and of the JSON artifacts.
+
+These pin results bit for bit, so a refactor or a speed-up of the engine or
+of the exact route must reproduce them exactly; changing one on purpose
+needs a digest bump stated in CHANGES.md.  The drifts use only arithmetic,
+neighbour averages and running averages (no tanh or sin), so the simulated
+bytes do not depend on the libm build.  The labels are plain ints and
+tuples of ints.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from netdiff.cli import main
+from netdiff.coefficients import ConstantDiffusion, parse_drift
+from netdiff.discrete import FactorModel, factor_model_to_json
+from netdiff.engine import (
+    entropy_bound_estimate,
+    girsanov_weights,
+    save_ensemble,
+    simulate,
+    simulate_driftless,
+)
+from netdiff.gaussian import build_linear_system, path_covariance, path_precision_blocks
+from netdiff.graphs import grid_graph, path_graph
+from netdiff.independence import mrf_order_scan
+from netdiff.initials import NormalInitial, PointMass
+
+GRID = np.linspace(0.0, 1.0, 9)
+DIFF = ConstantDiffusion([[0.7]])
+
+
+def sha(values) -> str:
+    data = np.ascontiguousarray(np.asarray(values, dtype=float), dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_simulate_digests():
+    g = grid_graph(3, 3)
+    got = {}
+    for text in ("nbr_avg(y) - x", "nbr_avg(y) - runavg(x, 0.25)"):
+        ens = simulate(g, parse_drift(text), DIFF, NormalInitial(0.0, 1.0), GRID, 40, seed=5)
+        got[text] = sha(ens.values)
+    assert got == {
+        "nbr_avg(y) - x": "44f1f831fb4884aae999f47de00aac8495ff0627b0107f91b47a7f3421d51cd0",
+        "nbr_avg(y) - runavg(x, 0.25)": "4771d00bb4a316233a709bd944f8f8dba5f06066ebeb3e604c60be1194ebae8a",
+    }
+
+
+def test_girsanov_weights_and_entropy_bound_digests():
+    g = grid_graph(3, 3)
+    drift = parse_drift("0.3*(nbr_avg(y) - runavg(x, 0.25))")
+    ref = simulate_driftless(g, DIFF, PointMass(0.0), GRID, 60, seed=9)
+    w = girsanov_weights(ref, drift, DIFF)
+    assert sha(w.weights) == "b59a8a5da0c64c9ef4258c5555bad20ab581959d4004e803801b4f4362d2603b"
+    ens = simulate(g, drift, DIFF, PointMass(0.0), GRID, 60, seed=9)
+    bound = entropy_bound_estimate(ens, drift, DIFF, [(1, 1), (0, 1), (2, 2)], 0.75)
+    assert repr(bound) == "np.float64(0.02847221154388121)"
+
+
+def test_exact_route_digests():
+    g = path_graph(6)
+    stacked = path_covariance(build_linear_system(g, -2.0), np.linspace(0.0, 1.0, 5), "euler")
+    blocks = path_precision_blocks(stacked)
+    assert sha([b.relative for b in blocks]) == "9d17a09e95aa20545e59f30e4ba7e8362e8ce2cdc6af8a81e124a2fc3a2fabbb"
+    reports = mrf_order_scan(g, stacked)
+    assert sha([r.statistic for r in reports]) == "7a1dca2e558f2f9897b833b8030d4573dc5c87ca88a1f38ea4a6449ce48cca31"
+
+
+def test_artifact_json_bytes(tmp_path, capsys):
+    g = grid_graph(2, 2, root=(0, 0))
+    ens = simulate(g, None, DIFF, PointMass(0.0), [0.0, 0.5], 2, seed=1)
+    save_ensemble(tmp_path / "paths.bin", ens)
+    blob = (tmp_path / "paths.bin").read_bytes()
+    (hlen,) = np.frombuffer(blob[5:9], dtype="<u4")
+    assert blob[9:9 + int(hlen)].decode() == (
+        '{"grid": [0.0, 0.5], "vertices": [[0, 0], [0, 1], [1, 0], [1, 1]], '
+        '"edges": [[[0, 0], [0, 1]], [[0, 0], [1, 0]], [[0, 1], [1, 1]], [[1, 0], [1, 1]]], '
+        '"root": [0, 0], "seed": 1, "scheme": {"kind": "euler_maruyama", "substeps": 1}, '
+        '"measure": "P", "shape": [2, 4, 2, 1]}'
+    )
+
+    model = FactorModel(g, 2, {((0, 0), (0, 1)): [[2.0, 1.0], [1.0, 2.0]]}, {(1, 1): [1.0, 3.0]})
+    assert factor_model_to_json(model) == (
+        '{"vertices": [[0, 0], [0, 1], [1, 0], [1, 1]], '
+        '"edges": [[[0, 0], [0, 1]], [[0, 0], [1, 0]], [[0, 1], [1, 1]], [[1, 0], [1, 1]]], '
+        '"root": [0, 0], "k": 2, '
+        '"factors": {"(0, 0)|(0, 1)": {"clique": [[0, 0], [0, 1]], "table": [2.0, 1.0, 1.0, 2.0]}}, '
+        '"base": {"(1, 1)": {"vertex": [1, 1], "weights": [1.0, 3.0]}}}'
+    )
+
+    cfg = {
+        "graph": {"kind": "grid", "rows": 2, "cols": 3},
+        "drift": {"default": "0"},
+        "diffusion": {"kind": "constant", "params": {"value": 1.0}},
+        "initial": {"kind": "point", "params": {"value": 0.0}},
+        "grid": {"t_max": 1.0, "steps": 4},
+        "seed": 1,
+        "options": {"graph": {"set": [[0, 1]]}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["graph", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    (run_dir,) = (tmp_path / "out").iterdir()
+    report = (run_dir / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == "13c2695d8d30592aecc7abad900cb46cd8feeb120e3444848616c103222f6f91"
