@@ -56,6 +56,7 @@ from .gaussian import (
     precision_edges_json,
 )
 from .graphs import InfiniteGraph, augmented_truncation, boundary, boundary2, cliques, format_edge_list
+from .graphs import _graph_to_json, _label_to_json
 from .independence import mrf_order_scan, order_summary, reports_to_csv, reports_to_json
 
 _COMMAND_HELP = {
@@ -70,18 +71,8 @@ _COMMAND_HELP = {
 }
 
 
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    return x
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _require_finite(g, command):
@@ -105,7 +96,7 @@ def cmd_graph(cfg, opts, run_dir):
         g_fin = g.truncation(trunc_n)
         report["truncation"] = {
             "n": trunc_n,
-            "vertices": [_jsonable(v) for v in g_fin.vertices],
+            "vertices": [_label_to_json(v) for v in g_fin.vertices],
             "edges": len(g_fin.edges()),
         }
         lines.append(f"truncation n={trunc_n}: {len(g_fin.vertices)} vertices, {len(g_fin.edges())} edges")
@@ -116,7 +107,7 @@ def cmd_graph(cfg, opts, run_dir):
         g_fin = augmented_truncation(g, trunc_n)
         report["truncation"] = {
             "n": trunc_n,
-            "vertices": [_jsonable(v) for v in g_fin.vertices],
+            "vertices": [_label_to_json(v) for v in g_fin.vertices],
             "edges": len(g_fin.edges()),
         }
         lines.append(f"truncation n={trunc_n}: {len(g_fin.vertices)} vertices, {len(g_fin.edges())} edges")
@@ -128,16 +119,14 @@ def cmd_graph(cfg, opts, run_dir):
     cls = cliques(g, order)
     report.update(
         {
-            "vertices": [_jsonable(v) for v in g.vertices],
-            "edges": [[_jsonable(u), _jsonable(w)] for u, w in g.edges()],
-            "root": None if g.root is None else _jsonable(g.root),
-            "set": [_jsonable(v) for v in a],
-            "boundary": [_jsonable(v) for v in b1],
-            "boundary2": [_jsonable(v) for v in b2],
+            **_graph_to_json(g),
+            "set": [_label_to_json(v) for v in a],
+            "boundary": [_label_to_json(v) for v in b1],
+            "boundary2": [_label_to_json(v) for v in b2],
             "cliques": {
                 "order": order,
                 "count": len(cls),
-                "members": [[_jsonable(v) for v in _sorted_by_index(g, c)] for c in cls]
+                "members": [[_label_to_json(v) for v in _sorted_by_index(g, c)] for c in cls]
                 if len(cls) <= 512
                 else None,
             },
@@ -204,12 +193,18 @@ def cmd_girsanov_check(cfg, opts, run_dir):
     replicas = cfg.get("replicas")
     if replicas is None:
         raise ConfigError("config has no replicas field")
+    if replicas < 2:
+        raise ConfigError("girsanov-check needs at least two replicas for a standard error")
     ens = simulate_driftless(g, diff, init, grid, replicas, cfg["seed"])
     w = girsanov_weights(ens, drift, diff)
     mean = float(w.weights.mean())
     se = float(w.weights.std(ddof=1) / np.sqrt(w.weights.size))
-    z = abs(mean - 1.0) / se if se > 0 else float("inf")
-    ok = bool(z <= 3.0)
+    if se > 0:
+        z = abs(mean - 1.0) / se
+    else:
+        # identical weights (e.g. zero drift): exactly one passes, anything else fails
+        z = 0.0 if mean == 1.0 else None
+    ok = z is not None and z <= 3.0
     _write_json(
         run_dir / "weights.json",
         {
@@ -221,7 +216,8 @@ def cmd_girsanov_check(cfg, opts, run_dir):
             "pass": ok,
         },
     )
-    lines = [f"weight mean {mean:.6f} vs 1 at t={w.t} ({z:.2f} sigma): {'PASS' if ok else 'FAIL'}"]
+    spread = "no spread" if z is None else f"{z:.2f} sigma"
+    lines = [f"weight mean {mean:.6f} vs 1 at t={w.t} ({spread}): {'PASS' if ok else 'FAIL'}"]
     return ok, lines
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import graphs
 from .coefficients import DriftTable, diffusion_from_config, parse_drift
+from .engine import _check_grid
 from .graphs import Graph, InfiniteGraph
 from .initials import PointMass, initial_from_config
 
@@ -415,9 +416,10 @@ def build_grid(cfg: dict) -> np.ndarray:
     if spec is None:
         raise ConfigError("config has no grid section")
     if "times" in spec:
-        grid = np.asarray(spec["times"], dtype=float)
+        grid = spec["times"]
     else:
         grid = np.linspace(0.0, float(spec["t_max"]), int(spec["steps"]) + 1)
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("grid times must start at 0 and increase strictly")
-    return grid
+    try:
+        return _check_grid(grid)
+    except ValueError as exc:
+        raise ConfigError(f"grid section: {exc}") from exc

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, augmented_truncation, boundary, boundary2, cliques, graph_distance
+from .graphs import _graph_from_json, _graph_to_json, _label_from_json, _label_to_json
 
 __all__ = [
     "FactorModel",
@@ -101,31 +102,17 @@ class FactorModel:
     def to_config(self) -> dict:
         g = self.graph
         return {
-            "vertices": [_as_json(v) for v in g.vertices],
-            "edges": [[_as_json(u), _as_json(w)] for u, w in g.edges()],
-            "root": None if g.root is None else _as_json(g.root),
+            **_graph_to_json(g),
             "k": self.k,
             "factors": {
                 "|".join(str(v) for v in key): {
-                    "clique": [_as_json(v) for v in key],
+                    "clique": [_label_to_json(v) for v in key],
                     "table": np.asarray(t).reshape(-1).tolist(),
                 }
                 for key, t in self.factors.items()
             },
-            "base": {str(v): {"vertex": _as_json(v), "weights": w.tolist()} for v, w in self.base.items()},
+            "base": {str(v): {"vertex": _label_to_json(v), "weights": w.tolist()} for v, w in self.base.items()},
         }
-
-
-def _as_json(lab):
-    if isinstance(lab, tuple):
-        return [_as_json(x) for x in lab]
-    return lab
-
-
-def _from_json(lab):
-    if isinstance(lab, list):
-        return tuple(_from_json(x) for x in lab)
-    return lab
 
 
 def factor_model_to_json(m: FactorModel) -> str:
@@ -134,18 +121,15 @@ def factor_model_to_json(m: FactorModel) -> str:
 
 def factor_model_from_json(text: str) -> FactorModel:
     cfg = json.loads(text)
-    vertices = [_from_json(v) for v in cfg["vertices"]]
-    edges = [(_from_json(u), _from_json(w)) for u, w in cfg["edges"]]
-    root = None if cfg.get("root") is None else _from_json(cfg["root"])
-    g = Graph(vertices, edges, root=root)
+    g = _graph_from_json(cfg)
     k = cfg["k"]
     factors = {}
     for item in cfg.get("factors", {}).values():
-        key = tuple(_from_json(v) for v in item["clique"])
+        key = tuple(_label_from_json(v) for v in item["clique"])
         factors[key] = np.asarray(item["table"], dtype=float).reshape((k,) * len(key))
     base = {}
     for item in cfg.get("base", {}).values():
-        base[_from_json(item["vertex"])] = np.asarray(item["weights"], dtype=float)
+        base[_label_from_json(item["vertex"])] = np.asarray(item["weights"], dtype=float)
     return FactorModel(g, k, factors, base)
 
 

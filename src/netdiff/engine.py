@@ -17,6 +17,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -31,6 +32,7 @@ from .coefficients import (
     truncated_drift_family,
 )
 from .graphs import Graph, InfiniteGraph, augmented_truncation
+from .graphs import _graph_from_json, _graph_to_json, _label_from_json, _label_to_json
 
 __all__ = [
     "PathEnsemble",
@@ -70,7 +72,9 @@ class SimulationError(RuntimeError):
 
 
 def _vertex_tag(label) -> int:
-    h = hashlib.blake2b(repr(label).encode(), digest_size=8)
+    # keyed by the canonical label, so np.int64(1) and 1 share a stream
+    canonical = _label_from_json(_label_to_json(label))
+    h = hashlib.blake2b(repr(canonical).encode(), digest_size=8)
     return int.from_bytes(h.digest(), "little")
 
 
@@ -147,22 +151,6 @@ class GirsanovWeights:
         return self.m[vertex] - 0.5 * self.quadratic_variation[vertex]
 
 
-def _as_drift_table(drift) -> DriftTable:
-    if drift is None:
-        return DriftTable()
-    if isinstance(drift, DriftTable):
-        return drift
-    if isinstance(drift, DriftSpec):
-        return DriftTable.uniform(drift)
-    raise TypeError("drift must be a DriftSpec, DriftTable, or None")
-
-
-def _as_diffusion_table(diffusion) -> DiffusionTable:
-    if isinstance(diffusion, DiffusionTable):
-        return diffusion
-    return DiffusionTable.uniform(diffusion)
-
-
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -172,6 +160,64 @@ def _check_grid(grid) -> np.ndarray:
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     return grid
+
+
+class _VertexPlan(NamedTuple):
+    """One vertex's coefficients and neighbours, resolved once per call."""
+
+    index: int
+    label: object
+    spec: DriftSpec | None  # None for a driftless vertex
+    sigma: object
+    nbrs: tuple  # neighbour indices, in graph order
+
+
+def _plan(g, drift, diffusion, vertices) -> list:
+    if drift is None:
+        drift = DriftTable()
+    elif isinstance(drift, DriftSpec):
+        drift = DriftTable.uniform(drift)
+    elif not isinstance(drift, DriftTable):
+        raise TypeError("drift must be a DriftSpec, DriftTable, or None")
+    if not isinstance(diffusion, DiffusionTable):
+        diffusion = DiffusionTable.uniform(diffusion)
+    plan = []
+    for v in vertices:
+        spec = drift.for_vertex(v)
+        if spec is not None and spec.is_zero:
+            spec = None
+        nbrs = tuple(g.index(u) for u in g.neighbors(v))
+        plan.append(_VertexPlan(g.index(v), v, spec, diffusion.for_vertex(v), nbrs))
+    return plan
+
+
+def _drift_at(p: _VertexPlan, t, state, times, hist, d) -> np.ndarray:
+    """Drift of a planned vertex for all replicas at time t, from the states
+    (R, V, d) at t and the paths ``hist`` over the grid points ``times`` <= t."""
+    ctx = EvalContext(
+        t,
+        state[:, p.index, :],
+        [state[:, u, :] for u in p.nbrs],
+        times=times,
+        own_hist=hist[:, p.index, : len(times), :],
+    )
+    return evaluate_vectorized(p.spec, ctx, d)
+
+
+def _drift_along(ens: PathEnsemble, drift, diffusion, vertices, n_steps):
+    """Yield (v, sigma, k, x, b) along the recorded paths, vertex by vertex.
+
+    x is the state of v at grid index k and b its drift there, for
+    k < n_steps; driftless vertices are skipped.
+    """
+    grid = ens.grid
+    for p in _plan(ens.graph, drift, diffusion, vertices):
+        if p.spec is None:
+            continue
+        for k in range(n_steps):
+            state = ens.values[:, :, k, :]
+            b = _drift_at(p, grid[k], state, grid[: k + 1], ens.values, ens.dim)
+            yield p.label, p.sigma, k, state[:, p.index, :], b
 
 
 def _first_bad(cur, labels, t):
@@ -186,34 +232,27 @@ def _run(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps, measure):
         raise ValueError("need at least one replica")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    drift = _as_drift_table(drift)
-    diffusion = _as_diffusion_table(diffusion)
-    labels = g.vertices
-    nv = len(labels)
-    specs = [drift.for_vertex(v) for v in labels]
-    if substeps > 1 and any(s is not None and s.uses_history for s in specs):
+    plan = _plan(g, drift, diffusion, g.vertices)
+    if substeps > 1 and any(p.spec is not None and p.spec.uses_history for p in plan):
         raise ValueError("history-dependent drifts require substeps=1")
-    sigmas = [diffusion.for_vertex(v) for v in labels]
-    d = sigmas[0].d
-    if any(s.d != d for s in sigmas):
+    d = plan[0].sigma.d
+    if any(p.sigma.d != d for p in plan):
         raise ValueError("all vertices must share one state dimension")
-    nbr_idx = [tuple(g.index(u) for u in g.neighbors(v)) for v in labels]
 
     nt = grid.size
-    values = np.empty((n_replicas, nv, nt, d))
+    values = np.empty((n_replicas, len(plan), nt, d))
     values[:, :, 0, :] = mu0.sample(n_replicas, g, seed, d)
     if not np.all(np.isfinite(values[:, :, 0, :])):
-        raise _first_bad(values[:, :, 0, :], labels, 0.0)
+        raise _first_bad(values[:, :, 0, :], g.vertices, 0.0)
 
     cur = values[:, :, 0, :].copy()
     # overflow during stepping is handled by the non-finite check below,
     # reported as a SimulationError rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step_all(g, grid, values, cur, specs, sigmas, nbr_idx, n_replicas, d, substeps, seed, measure)
+        return _step_all(g, grid, values, cur, plan, n_replicas, d, substeps, seed, measure)
 
 
-def _step_all(g, grid, values, cur, specs, sigmas, nbr_idx, n_replicas, d, substeps, seed, measure):
-    labels = g.vertices
+def _step_all(g, grid, values, cur, plan, n_replicas, d, substeps, seed, measure):
     nt = grid.size
     for k in range(nt - 1):
         h = (grid[k + 1] - grid[k]) / substeps
@@ -222,24 +261,16 @@ def _step_all(g, grid, values, cur, specs, sigmas, nbr_idx, n_replicas, d, subst
             t_sub = grid[k] + j * h
             step = k * substeps + j
             new = np.empty_like(cur)
-            for vi, v in enumerate(labels):
-                x = cur[:, vi, :]
-                z = noise_stream(seed, step, v).standard_normal((n_replicas, d))
-                dx = sigmas[vi].noise_increment(x, z * sqrt_h)
-                spec = specs[vi]
-                if spec is not None and not spec.is_zero:
-                    ctx = EvalContext(
-                        t_sub,
-                        x,
-                        [cur[:, ui, :] for ui in nbr_idx[vi]],
-                        times=grid[: k + 1],
-                        own_hist=values[:, vi, : k + 1, :],
-                    )
-                    dx = dx + evaluate_vectorized(spec, ctx, d) * h
-                new[:, vi, :] = x + dx
+            for p in plan:
+                x = cur[:, p.index, :]
+                z = noise_stream(seed, step, p.label).standard_normal((n_replicas, d))
+                dx = p.sigma.noise_increment(x, z * sqrt_h)
+                if p.spec is not None:
+                    dx = dx + _drift_at(p, t_sub, cur, grid[: k + 1], values, d) * h
+                new[:, p.index, :] = x + dx
             cur = new
         if not np.all(np.isfinite(cur)):
-            raise _first_bad(cur, labels, grid[k + 1])
+            raise _first_bad(cur, g.vertices, grid[k + 1])
         values[:, :, k + 1, :] = cur
 
     scheme = {"kind": "euler_maruyama", "substeps": int(substeps)}
@@ -293,42 +324,19 @@ def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
         raise ValueError(f"expected a P_star ensemble, got measure {ens.measure!r}")
     if ens.scheme.get("substeps", 1) != 1:
         raise ValueError("weights need the full path: simulate with substeps=1")
-    drift = _as_drift_table(drift)
-    diffusion = _as_diffusion_table(diffusion)
     g = ens.graph
     grid = ens.grid
-    r, _, nt, d = ens.values.shape
-    m = {}
-    qv = {}
+    r = ens.n_replicas
+    m = {v: np.zeros(r) for v in g.vertices}
+    qv = {v: np.zeros(r) for v in g.vertices}
+    for v, sigma, k, x, b in _drift_along(ens, drift, diffusion, g.vertices, grid.size - 1):
+        dx = ens.values[:, g.index(v), k + 1, :] - x
+        m[v] = m[v] + np.sum(sigma.sigma_sigmaT_inv_vec(x, b) * dx, axis=1)
+        s = sigma.sigma_inv_vec(x, b)
+        qv[v] = qv[v] + np.sum(s * s, axis=1) * (grid[k + 1] - grid[k])
     log_w = np.zeros(r)
-    for vi, v in enumerate(g.vertices):
-        spec = drift.for_vertex(v)
-        if spec is None or spec.is_zero:
-            m[v] = np.zeros(r)
-            qv[v] = np.zeros(r)
-            continue
-        sigma = diffusion.for_vertex(v)
-        nbr = [g.index(u) for u in g.neighbors(v)]
-        mv = np.zeros(r)
-        qvv = np.zeros(r)
-        for k in range(nt - 1):
-            dt = grid[k + 1] - grid[k]
-            x = ens.values[:, vi, k, :]
-            ctx = EvalContext(
-                grid[k],
-                x,
-                [ens.values[:, ui, k, :] for ui in nbr],
-                times=grid[: k + 1],
-                own_hist=ens.values[:, vi, : k + 1, :],
-            )
-            b = evaluate_vectorized(spec, ctx, d)
-            dx = ens.values[:, vi, k + 1, :] - x
-            mv = mv + np.sum(sigma.sigma_sigmaT_inv_vec(x, b) * dx, axis=1)
-            s = sigma.sigma_inv_vec(x, b)
-            qvv = qvv + np.sum(s * s, axis=1) * dt
-        m[v] = mv
-        qv[v] = qvv
-        log_w = log_w + (mv - 0.5 * qvv)
+    for v in g.vertices:
+        log_w = log_w + (m[v] - 0.5 * qv[v])
     weights = np.exp(log_w)
     if not np.all(np.isfinite(weights)):
         bad = int(np.flatnonzero(~np.isfinite(weights))[0])
@@ -450,10 +458,7 @@ def entropy_bound_estimate(ens: PathEnsemble, drift, diffusion, vertices, t) -> 
     if not (ens.measure == "P" or ens.measure.startswith("P_n(")):
         raise ValueError(f"expected a P or P_n ensemble, got {ens.measure!r}")
     kt = ens.time_index(t)
-    drift = _as_drift_table(drift)
-    diffusion = _as_diffusion_table(diffusion)
-    g = ens.graph
-    have = set(g.vertices)
+    have = set(ens.graph.vertices)
     if ens.measure.startswith("P_n("):
         vs = [v for v in vertices if v in have]
     else:
@@ -463,44 +468,15 @@ def entropy_bound_estimate(ens: PathEnsemble, drift, diffusion, vertices, t) -> 
         vs = list(vertices)
     grid = ens.grid
     total = 0.0
-    for v in vs:
-        spec = drift.for_vertex(v)
-        if spec is None or spec.is_zero:
-            continue
-        sigma = diffusion.for_vertex(v)
-        vi = g.index(v)
-        nbr = [g.index(u) for u in g.neighbors(v)]
-        for k in range(kt):
-            dt = grid[k + 1] - grid[k]
-            x = ens.values[:, vi, k, :]
-            ctx = EvalContext(
-                grid[k],
-                x,
-                [ens.values[:, ui, k, :] for ui in nbr],
-                times=grid[: k + 1],
-                own_hist=ens.values[:, vi, : k + 1, :],
-            )
-            b = evaluate_vectorized(spec, ctx, ens.dim)
-            s = sigma.sigma_inv_vec(x, b)
-            total += float(np.mean(np.sum(s * s, axis=1))) * dt
+    for _, sigma, k, x, b in _drift_along(ens, drift, diffusion, vs, kt):
+        s = sigma.sigma_inv_vec(x, b)
+        total += float(np.mean(np.sum(s * s, axis=1))) * (grid[k + 1] - grid[k])
     return 0.5 * total
 
 
 # ------------------------------------------------------------ persistence
 
 _MAGIC = b"NDPE\x01"
-
-
-def _jsonable_label(lab):
-    if isinstance(lab, tuple):
-        return list(_jsonable_label(x) for x in lab)
-    return lab
-
-
-def _label_from_json(lab):
-    if isinstance(lab, list):
-        return tuple(_label_from_json(x) for x in lab)
-    return lab
 
 
 def save_ensemble(path, ens: PathEnsemble) -> None:
@@ -511,9 +487,7 @@ def save_ensemble(path, ens: PathEnsemble) -> None:
     """
     header = {
         "grid": [float(x) for x in ens.grid],
-        "vertices": [_jsonable_label(v) for v in ens.graph.vertices],
-        "edges": [[_jsonable_label(u), _jsonable_label(w)] for u, w in ens.graph.edges()],
-        "root": None if ens.graph.root is None else _jsonable_label(ens.graph.root),
+        **_graph_to_json(ens.graph),
         "seed": ens.seed,
         "scheme": ens.scheme,
         "measure": ens.measure,
@@ -537,10 +511,7 @@ def load_ensemble(path) -> PathEnsemble:
         data = fh.read()
     shape = tuple(header["shape"])
     values = np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
-    vertices = [_label_from_json(v) for v in header["vertices"]]
-    edges = [(_label_from_json(u), _label_from_json(w)) for u, w in header["edges"]]
-    root = None if header["root"] is None else _label_from_json(header["root"])
-    g = Graph(vertices, edges, root=root)
+    g = _graph_from_json(header)
     return PathEnsemble(g, np.asarray(header["grid"], dtype=float), values, header["seed"], header["scheme"], header["measure"])
 
 

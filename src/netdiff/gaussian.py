@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from .engine import _check_grid
 from .graphs import Graph, adjacency_matrix
 
 __all__ = [
@@ -245,13 +247,7 @@ def path_covariance(
     vertex pairs at graph distance three or more; the exact scheme has a
     dense transition matrix and no such sparsity.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid needs at least two points")
-    if grid[0] != 0.0:
-        raise ValueError("grid must start at 0")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
+    grid = _check_grid(grid)
     if scheme not in ("euler", "exact"):
         raise ValueError(f"unknown scheme {scheme!r}")
     n = sys.n
@@ -304,6 +300,25 @@ class BlockNorm:
     relative: float
 
 
+def _precision_block_maxima(cov: np.ndarray, m: int):
+    """Invert a vertex-major path covariance with m times per vertex.
+
+    Returns ``(top, relative)``, both (n, n) for n vertices: ``top[i, j]`` is
+    the largest |entry| of the (i, j) vertex block of the symmetrised
+    precision, and ``relative`` rescales it by the geometric mean of the
+    two diagonal-block scales ``top[i, i]`` and ``top[j, j]``.
+    """
+    ev = np.linalg.eigvalsh(cov)
+    if ev[0] <= max(ev[-1], 0.0) * 1e-13:
+        raise np.linalg.LinAlgError("path covariance is numerically singular")
+    p = np.linalg.inv(cov)
+    p = 0.5 * (p + p.T)
+    n = cov.shape[0] // m
+    top = np.abs(p).reshape(n, m, n, m).max(axis=(1, 3))
+    scale = np.diag(top)
+    return top, top / np.sqrt(np.outer(scale, scale))
+
+
 def path_precision_blocks(stacked: StackedCovariance, labels: Sequence | None = None) -> list[BlockNorm]:
     """Max-abs entry of every off-diagonal vertex block of the stacked precision.
 
@@ -312,28 +327,10 @@ def path_precision_blocks(stacked: StackedCovariance, labels: Sequence | None = 
     """
     if labels is None:
         labels = stacked.labels
-    s = stacked.matrix
-    ev = np.linalg.eigvalsh(s)
-    if ev[0] <= max(ev[-1], 0.0) * 1e-13:
-        raise np.linalg.LinAlgError("stacked covariance is numerically singular")
-    p = np.linalg.inv(s)
-    p = 0.5 * (p + p.T)
-    m = stacked.n_times
+    top, rel = _precision_block_maxima(stacked.matrix, stacked.n_times)
     idx = {lab: i for i, lab in enumerate(stacked.labels)}
-    scale = {}
-    for lab in labels:
-        i = idx[lab]
-        scale[lab] = np.abs(p[i * m:(i + 1) * m, i * m:(i + 1) * m]).max()
-    rows = []
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            u, v = labels[a], labels[b]
-            i, j = idx[u], idx[v]
-            block = p[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            top = float(np.abs(block).max())
-            rel = top / np.sqrt(scale[u] * scale[v])
-            rows.append(BlockNorm(u, v, top, float(rel)))
-    return rows
+    pairs = combinations([(lab, idx[lab]) for lab in labels], 2)
+    return [BlockNorm(u, v, float(top[i, j]), float(rel[i, j])) for (u, i), (v, j) in pairs]
 
 
 def matrix_csv(matrix: np.ndarray, labels: Sequence) -> str:

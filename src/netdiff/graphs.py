@@ -433,6 +433,39 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# JSON form of labels and graphs, shared by every artifact that stores them
+
+
+def _label_to_json(lab):
+    """Tuples become lists and numpy scalars Python scalars, recursively."""
+    if isinstance(lab, tuple):
+        return [_label_to_json(x) for x in lab]
+    if isinstance(lab, np.generic):
+        return lab.item()
+    return lab
+
+
+def _label_from_json(lab):
+    """Inverse of `_label_to_json`; decode(encode(v)) is v's canonical form."""
+    if isinstance(lab, list):
+        return tuple(_label_from_json(x) for x in lab)
+    return lab
+
+
+def _graph_to_json(g: Graph) -> dict:
+    return {
+        "vertices": [_label_to_json(v) for v in g.vertices],
+        "edges": [[_label_to_json(u), _label_to_json(w)] for u, w in g.edges()],
+        "root": _label_to_json(g.root),
+    }
+
+
+def _graph_from_json(doc: dict) -> Graph:
+    vertices = [_label_from_json(v) for v in doc["vertices"]]
+    edges = [(_label_from_json(u), _label_from_json(w)) for u, w in doc["edges"]]
+    return Graph(vertices, edges, root=_label_from_json(doc.get("root")))
+
+
 # ---------------------------------------------------------------------------
 # named generators
 

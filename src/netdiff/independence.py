@@ -23,7 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .engine import PathEnsemble
-from .gaussian import StackedCovariance
+from .gaussian import StackedCovariance, _precision_block_maxima
 from .graphs import Graph, boundary, boundary2
 
 __all__ = [
@@ -99,24 +99,11 @@ def exact_gaussian_ci(stacked: StackedCovariance, a, s, b, tol: float = 1e-8) ->
     # label order, not (a, s, b) order, so the result is exactly A-B symmetric
     pos = {lab: i for i, lab in enumerate(stacked.labels)}
     keep = tuple(sorted(a + s + b, key=pos.__getitem__))
-    cols = []
-    sl = {}
-    for pos, lab in enumerate(keep):
-        src = stacked.vertex_slice(lab)
-        cols.extend(range(src.start, src.stop))
-        sl[lab] = slice(pos * m, (pos + 1) * m)
+    cols = np.concatenate([np.arange(pos[lab] * m, (pos[lab] + 1) * m) for lab in keep])
     sub = stacked.matrix[np.ix_(cols, cols)]
-    ev = np.linalg.eigvalsh(sub)
-    if ev[0] <= max(ev[-1], 0.0) * 1e-13:
-        raise np.linalg.LinAlgError("marginal path covariance is numerically singular")
-    q = np.linalg.inv(sub)
-    q = 0.5 * (q + q.T)
-    scale = {lab: np.abs(q[sl[lab], sl[lab]]).max() for lab in keep}
-    worst = 0.0
-    for u in a:
-        for v in b:
-            top = np.abs(q[sl[u], sl[v]]).max()
-            worst = max(worst, float(top / np.sqrt(scale[u] * scale[v])))
+    _, rel = _precision_block_maxima(sub, m)
+    at = {lab: i for i, lab in enumerate(keep)}
+    worst = float(rel[np.ix_([at[u] for u in a], [at[v] for v in b])].max())
     verdict = "independent" if worst < tol else "dependent"
     return CITestReport(
         a=a, s=s, b=b, mode="exact_gaussian",

@@ -6,6 +6,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,27 @@ def test_girsanov_check_passes(tmp_path, capsys):
     assert abs(weights["mean"] - 1.0) <= 3 * weights["stderr"]
 
 
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_girsanov_check_zero_drift_demo(tmp_path, capsys):
+    # drift 0: every weight is exactly 1 and the standard error is 0
+    spin = Path(__file__).resolve().parents[1] / "demos" / "configs" / "spin.json"
+    code, text = run("girsanov-check", str(spin), tmp_path / "out", "--replicas", "200", capsys=capsys)
+    assert code == 0
+    assert "PASS" in text
+    weights = strict_json((only_run_dir(tmp_path / "out", "girsanov-check") / "weights.json").read_text())
+    assert weights["mean"] == 1.0 and weights["stderr"] == 0.0
+    assert weights["z"] == 0.0 and weights["pass"] is True
+    # one replica has no standard error at all
+    code, _ = run("girsanov-check", str(spin), tmp_path / "one", "--replicas", "1", capsys=capsys)
+    assert code == 2
+
+
 def test_ci_scan_expectations(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     cfg["options"] = {"ci-scan": {"expect": {"1": "fail", "2": "pass"}}}
@@ -255,6 +277,13 @@ def test_exit_code_2_on_config_trouble(tmp_path, capsys):
     badset["options"] = {"graph": {"set": [99]}}
     assert main(["graph", "--config", write_config(tmp_path, badset, "b.json"), "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+def test_bad_grid_is_a_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(BASE)
+    cfg["grid"] = {"times": [0.1, 0.5, 1.0]}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "grid section: grid must start at 0" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_explosion(tmp_path, capsys):

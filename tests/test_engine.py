@@ -270,6 +270,30 @@ def test_save_load_round_trip(tmp_path):
         load_ensemble(bad)
 
 
+def numpy_labelled_path(n):
+    labels = np.arange(1, n + 1)
+    return Graph(labels, zip(labels[:-1], labels[1:]), root=labels[0])
+
+
+def test_save_load_numpy_integer_labels(tmp_path):
+    ens = simulate_driftless(numpy_labelled_path(3), UNIT, PointMass(0.0), [0.0, 0.5], 5, seed=4)
+    p = tmp_path / "ens.bin"
+    save_ensemble(p, ens)
+    back = load_ensemble(p)
+    assert back.graph == path_graph(3, root=1)
+    assert all(type(v) is int for v in back.labels)
+    assert np.array_equal(back.values, ens.values)
+
+
+def test_noise_is_keyed_by_canonical_label():
+    # np.int64(2) == 2, so the two graphs must see the same noise on each vertex
+    grid = np.linspace(0.0, 1.0, 5)
+    init = NormalInitial(0.0, 1.0)
+    a = simulate(numpy_labelled_path(4), P5_DRIFT, UNIT, init, grid, 30, seed=8)
+    b = simulate(path_graph(4, root=1), P5_DRIFT, UNIT, init, grid, 30, seed=8)
+    assert np.array_equal(a.values, b.values)
+
+
 def test_summary_csv_shape():
     g = path_graph(2)
     ens = simulate_driftless(g, UNIT, PointMass(1.5), [0.0, 1.0], 30, seed=3)
