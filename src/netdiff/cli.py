@@ -234,6 +234,7 @@ def cmd_ci_scan(cfg, opts, run_dir):
         sys_ = build_linear_system(g, shift)
         source = path_covariance(sys_, grid, scheme=opts.get("scheme", "euler"))
         reports = mrf_order_scan(g, source, orders=orders, sets=sets, tol=float(opts.get("tol", 1e-8)))
+        trust = {"condition": source.condition}
     else:
         replicas = cfg.get("replicas")
         if replicas is None:
@@ -256,10 +257,11 @@ def cmd_ci_scan(cfg, opts, run_dir):
             feature_grid=opts.get("feature_times"),
             alpha=float(opts.get("alpha", 0.01)),
         )
+        trust = {}
     summary = order_summary(reports)
     (run_dir / "reports.json").write_text(reports_to_json(reports) + "\n", encoding="utf-8")
     (run_dir / "summary.csv").write_text(reports_to_csv(reports), encoding="utf-8")
-    _write_json(run_dir / "verdicts.json", {"orders": {str(k): v for k, v in summary.items()}})
+    _write_json(run_dir / "verdicts.json", {"orders": {str(k): v for k, v in summary.items()}, **trust})
     lines = [f"order {k}: {v} ({sum(1 for r in reports if r.order == k)} sets)" for k, v in summary.items()]
     expect = opts.get("expect")
     ok = True

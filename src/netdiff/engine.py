@@ -24,10 +24,12 @@ from scipy.spatial.distance import cdist, pdist
 from scipy.stats import ks_2samp
 
 from .coefficients import (
+    ConstantDiffusion,
     DiffusionTable,
     DriftSpec,
     DriftTable,
     EvalContext,
+    TanhDiagonalDiffusion,
     evaluate_vectorized,
     truncated_drift_family,
 )
@@ -179,8 +181,10 @@ def _plan(g, drift, diffusion, vertices) -> list:
         drift = DriftTable.uniform(drift)
     elif not isinstance(drift, DriftTable):
         raise TypeError("drift must be a DriftSpec, DriftTable, or None")
-    if not isinstance(diffusion, DiffusionTable):
+    if isinstance(diffusion, (ConstantDiffusion, TanhDiagonalDiffusion)):
         diffusion = DiffusionTable.uniform(diffusion)
+    elif not isinstance(diffusion, DiffusionTable):
+        raise TypeError("diffusion must be a ConstantDiffusion, TanhDiagonalDiffusion, or DiffusionTable")
     plan = []
     for v in vertices:
         spec = drift.for_vertex(v)

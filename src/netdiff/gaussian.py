@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -196,12 +197,31 @@ class StackedCovariance:
     The initial grid point carries no randomness when started from a point
     mass, so `times` holds the grid without its first entry and the matrix
     indexes only those stored times.
+
+    `matrix` is a read-only float copy of the array passed in.  Its
+    precision is computed once, on first use, and every full-vertex-set
+    reader (`path_precision_blocks`, the exact CI tests of
+    `mrf_order_scan`, `condition`) shares that one factorization.
     """
 
     matrix: np.ndarray
     labels: tuple
     times: tuple
     scheme: str
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=float)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+
+    @cached_property
+    def _block_maxima(self):
+        return _precision_block_maxima(self.matrix, self.n_times)
+
+    @property
+    def condition(self) -> float:
+        """Spectral condition number of `matrix`: largest over smallest eigenvalue."""
+        return self._block_maxima[2]
 
     @property
     def n_vertices(self) -> int:
@@ -303,10 +323,12 @@ class BlockNorm:
 def _precision_block_maxima(cov: np.ndarray, m: int):
     """Invert a vertex-major path covariance with m times per vertex.
 
-    Returns ``(top, relative)``, both (n, n) for n vertices: ``top[i, j]`` is
-    the largest |entry| of the (i, j) vertex block of the symmetrised
-    precision, and ``relative`` rescales it by the geometric mean of the
-    two diagonal-block scales ``top[i, i]`` and ``top[j, j]``.
+    Returns ``(top, relative, condition)``.  ``top`` and ``relative`` are
+    read-only (n, n) arrays for n vertices: ``top[i, j]`` is the largest
+    |entry| of the (i, j) vertex block of the symmetrised precision, and
+    ``relative`` rescales it by the geometric mean of the two diagonal-block
+    scales ``top[i, i]`` and ``top[j, j]``.  ``condition`` is the ratio of
+    the largest to the smallest eigenvalue of ``cov``.
     """
     ev = np.linalg.eigvalsh(cov)
     if ev[0] <= max(ev[-1], 0.0) * 1e-13:
@@ -316,7 +338,10 @@ def _precision_block_maxima(cov: np.ndarray, m: int):
     n = cov.shape[0] // m
     top = np.abs(p).reshape(n, m, n, m).max(axis=(1, 3))
     scale = np.diag(top)
-    return top, top / np.sqrt(np.outer(scale, scale))
+    rel = top / np.sqrt(np.outer(scale, scale))
+    top.flags.writeable = False
+    rel.flags.writeable = False
+    return top, rel, float(ev[-1] / ev[0])
 
 
 def path_precision_blocks(stacked: StackedCovariance, labels: Sequence | None = None) -> list[BlockNorm]:
@@ -327,7 +352,7 @@ def path_precision_blocks(stacked: StackedCovariance, labels: Sequence | None = 
     """
     if labels is None:
         labels = stacked.labels
-    top, rel = _precision_block_maxima(stacked.matrix, stacked.n_times)
+    top, rel, _ = stacked._block_maxima
     idx = {lab: i for i, lab in enumerate(stacked.labels)}
     pairs = combinations([(lab, idx[lab]) for lab in labels], 2)
     return [BlockNorm(u, v, float(top[i, j]), float(rel[i, j])) for (u, i), (v, j) in pairs]

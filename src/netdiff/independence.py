@@ -99,9 +99,12 @@ def exact_gaussian_ci(stacked: StackedCovariance, a, s, b, tol: float = 1e-8) ->
     # label order, not (a, s, b) order, so the result is exactly A-B symmetric
     pos = {lab: i for i, lab in enumerate(stacked.labels)}
     keep = tuple(sorted(a + s + b, key=pos.__getitem__))
-    cols = np.concatenate([np.arange(pos[lab] * m, (pos[lab] + 1) * m) for lab in keep])
-    sub = stacked.matrix[np.ix_(cols, cols)]
-    _, rel = _precision_block_maxima(sub, m)
+    if len(keep) == stacked.n_vertices:
+        # the marginal is the whole matrix: share its one cached factorization
+        rel = stacked._block_maxima[1]
+    else:
+        cols = np.concatenate([np.arange(pos[lab] * m, (pos[lab] + 1) * m) for lab in keep])
+        _, rel, _ = _precision_block_maxima(stacked.matrix[np.ix_(cols, cols)], m)
     at = {lab: i for i, lab in enumerate(keep)}
     worst = float(rel[np.ix_([at[u] for u in a], [at[v] for v in b])].max())
     verdict = "independent" if worst < tol else "dependent"
@@ -211,8 +214,9 @@ def mrf_order_scan(
     ``sets`` defaults to all singletons and all edges of ``g``; sets whose
     complement beyond the boundary is empty are skipped.  ``source`` is
     either a stacked path covariance (exact route) or a path ensemble
-    (partial-correlation route).  Each test is pure and independent of
-    the others, so the loop is trivially parallelizable.
+    (partial-correlation route).  On the exact route every test whose sets
+    cover all of V reads the one factorization of the stacked covariance
+    that it shares with `path_precision_blocks`, computed on first use.
     """
     if isinstance(source, StackedCovariance):
         def run(a, s, b):

@@ -211,6 +211,15 @@ def test_ci_scan_expectations(tmp_path, capsys):
     assert code == 1
 
 
+def test_ci_scan_reports_condition_of_the_stacked_covariance(tmp_path, capsys):
+    chain = Path(__file__).resolve().parents[1] / "demos" / "configs" / "chain.json"
+    code, _ = run("ci-scan", str(chain), tmp_path / "out", capsys=capsys)
+    assert code == 0
+    verdicts = strict_json((only_run_dir(tmp_path / "out", "ci-scan") / "verdicts.json").read_text())
+    assert set(verdicts) == {"orders", "condition"}
+    assert np.isfinite(verdicts["condition"]) and verdicts["condition"] >= 1.0
+
+
 def test_approx_on_the_line(tmp_path, capsys):
     cfg = {
         "graph": {"kind": "z_line"},

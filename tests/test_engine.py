@@ -84,6 +84,15 @@ def test_nan_explosion_is_reported():
     assert err.value.time > 0
 
 
+def test_bare_number_diffusion_is_rejected_up_front():
+    grid = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(TypeError, match="diffusion"):
+        simulate(path_graph(3), parse_drift("-x"), 1.0, PointMass(0.0), grid, 10, 1)
+    ens = simulate_driftless(path_graph(3), UNIT, PointMass(0.0), grid, 10, 1)
+    with pytest.raises(TypeError, match="diffusion"):
+        girsanov_weights(ens, parse_drift("-x"), 1.0)
+
+
 def test_history_drift_requires_substeps_one():
     g = complete_graph(1)
     with pytest.raises(ValueError):

@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import netdiff.gaussian
+import netdiff.independence
 from netdiff.coefficients import ConstantDiffusion, parse_drift
 from netdiff.engine import simulate, simulate_driftless
 from netdiff.gaussian import (
     StackedCovariance,
+    _precision_block_maxima,
     build_linear_system,
     covariance_at,
     path_covariance,
+    path_precision_blocks,
 )
-from netdiff.graphs import path_graph
+from netdiff.graphs import grid_graph, path_graph
 from netdiff.independence import (
     exact_gaussian_ci,
     mrf_order_scan,
@@ -182,6 +186,82 @@ def test_order_scan_exact_source():
 
     both = mrf_order_scan(P5, st)
     assert order_summary(both) == {1: "fail", 2: "pass"}
+
+
+def sliced_marginal(stacked, a, s, b):
+    """Label-ordered vertices of (A, S, B) and their explicitly sliced covariance."""
+    pos = {lab: i for i, lab in enumerate(stacked.labels)}
+    keep = sorted(a + s + b, key=pos.__getitem__)
+    rows = np.arange(stacked.matrix.shape[0])
+    cols = np.concatenate([rows[stacked.vertex_slice(v)] for v in keep])
+    return keep, stacked.matrix[np.ix_(cols, cols)]
+
+
+def marginal_statistic(stacked, a, s, b):
+    """The exact statistic recomputed from an explicitly sliced marginal."""
+    keep, sub = sliced_marginal(stacked, a, s, b)
+    _, rel, _ = _precision_block_maxima(sub, stacked.n_times)
+    at = {v: i for i, v in enumerate(keep)}
+    return float(rel[np.ix_([at[u] for u in a], [at[v] for v in b])].max())
+
+
+@pytest.mark.parametrize(
+    "g, shift, steps",
+    [(path_graph(6), -2.0, 12), (grid_graph(3, 3), -4.5, 6)],
+    ids=["path6", "grid3x3"],
+)
+def test_order_scan_statistics_match_sliced_marginals(g, shift, steps):
+    st = path_covariance(build_linear_system(g, shift), np.linspace(0.0, 1.0, steps + 1))
+    reps = mrf_order_scan(g, st)
+    assert order_summary(reps) == {1: "fail", 2: "pass"}
+    for r in reps:
+        assert r.statistic == marginal_statistic(st, r.a, r.s, r.b)
+
+
+def test_partial_triple_matches_its_own_marginal():
+    st = path_covariance(build_linear_system(path_graph(6), -2.0), np.linspace(0.0, 1.0, 13))
+    for a, s, b in [((1,), (2,), (3,)), ((2,), (3, 4), (5,)), ((1, 2), (), (6,))]:
+        rep = exact_gaussian_ci(st, a, s, b)
+        assert rep.statistic == marginal_statistic(st, a, s, b)
+        # the same marginal handed over whole takes the shared-factorization branch
+        keep, sub = sliced_marginal(st, a, s, b)
+        whole = StackedCovariance(sub, tuple(keep), st.times, st.scheme)
+        assert exact_gaussian_ci(whole, a, s, b).statistic == rep.statistic
+
+
+def test_scan_and_blocks_share_one_full_factorization(monkeypatch):
+    st = euler_stacked(8)
+    full = []
+
+    def counting(cov, m):
+        if cov.shape == st.matrix.shape:
+            full.append(m)
+        return _precision_block_maxima(cov, m)
+
+    monkeypatch.setattr(netdiff.gaussian, "_precision_block_maxima", counting)
+    monkeypatch.setattr(netdiff.independence, "_precision_block_maxima", counting)
+    reps = mrf_order_scan(P5, st)
+    blocks = path_precision_blocks(st)
+    assert st.condition >= 1.0
+    assert len(reps) > 1 and len(blocks) == 10
+    assert full == [st.n_times]
+    ev = np.linalg.eigvalsh(st.matrix)
+    assert st.condition == ev[-1] / ev[0]
+
+
+def test_stacked_matrix_is_a_read_only_copy():
+    ref = euler_stacked(8)
+    source = np.array(ref.matrix)
+    st = StackedCovariance(source, ref.labels, ref.times, ref.scheme)
+    assert st.matrix is not source
+    with pytest.raises(ValueError):
+        st.matrix[0, 0] = 1.0
+    source[:] = np.eye(len(source))
+    assert [r.statistic for r in mrf_order_scan(P5, st)] == [r.statistic for r in mrf_order_scan(P5, ref)]
+    assert [bl.relative for bl in path_precision_blocks(st)] == [bl.relative for bl in path_precision_blocks(ref)]
+    _, rel, _ = st._block_maxima
+    with pytest.raises(ValueError):
+        rel[0, 1] = 0.0
 
 
 def test_order_scan_marginal_fails_both_orders():
