@@ -214,9 +214,10 @@ def mrf_order_scan(
     ``sets`` defaults to all singletons and all edges of ``g``; sets whose
     complement beyond the boundary is empty are skipped.  ``source`` is
     either a stacked path covariance (exact route) or a path ensemble
-    (partial-correlation route).  On the exact route every test whose sets
-    cover all of V reads the one factorization of the stacked covariance
-    that it shares with `path_precision_blocks`, computed on first use.
+    (partial-correlation route).  A, its boundary and the rest always
+    cover V, so on the exact route every test reads the one factorization
+    of the stacked covariance, computed on first use and shared with
+    `path_precision_blocks`.
     """
     if isinstance(source, StackedCovariance):
         def run(a, s, b):
