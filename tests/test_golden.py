@@ -1,7 +1,7 @@
 """Golden digests of the numerical routes and of the JSON artifacts.
 
 These pin results bit for bit, so a refactor or a speed-up of the engine or
-of the exact route must reproduce them exactly; changing one on purpose
+of the exact route or of the discrete lab must reproduce them exactly; changing one on purpose
 needs a digest bump stated in CHANGES.md.  The drifts use only arithmetic,
 neighbour averages and running averages (no tanh or sin), so the simulated
 bytes do not depend on the libm build.  The labels are plain ints and
@@ -15,7 +15,14 @@ import numpy as np
 
 from netdiff.cli import main
 from netdiff.coefficients import ConstantDiffusion, parse_drift
-from netdiff.discrete import FactorModel, factor_model_to_json
+from netdiff.discrete import (
+    FactorModel,
+    check_mrf_bruteforce,
+    factor_model_to_json,
+    factorize_positive_2mrf,
+    joint_table,
+    random_factor_model,
+)
 from netdiff.engine import (
     entropy_bound_estimate,
     girsanov_weights,
@@ -67,6 +74,20 @@ def test_exact_route_digests():
     assert sha([b.relative for b in blocks]) == "9d17a09e95aa20545e59f30e4ba7e8362e8ce2cdc6af8a81e124a2fc3a2fabbb"
     reports = mrf_order_scan(g, stacked)
     assert sha([r.statistic for r in reports]) == "7a1dca2e558f2f9897b833b8030d4573dc5c87ca88a1f38ea4a6449ce48cca31"
+
+
+def test_discrete_route_digests():
+    g = grid_graph(2, 3)
+    joint = joint_table(random_factor_model(g, 2, np.random.default_rng(0)))
+    assert sha(joint.probs) == "72bd9378053fbcc2e5b1c307c0a81e7b509103e4503f1fb14e43f1d515643c53"
+    back = factorize_positive_2mrf(joint, g)
+    assert len(back.factors) == 29 and list(back.base) == list(g.vertices)
+    factors = np.concatenate([t.ravel() for t in back.factors.values()])
+    assert sha(factors) == "083ccc1053ffab69479aa254bfabab2c52f8610506bffc9fe71c7273be82bb5e"
+    base = np.concatenate(list(back.base.values()))
+    assert sha(base) == "83aea44c74698df8ee9eda098b713f509ba02245dc1ecdc44d7ca041bde510b7"
+    violation = check_mrf_bruteforce(joint, g, 2).max_violation
+    assert sha([violation]) == "00ece03d841d0cae9c98cb78e63c1ea05db9eb17869010ee76ab8b267aaf927d"
 
 
 def test_artifact_json_bytes(tmp_path, capsys):
