@@ -514,13 +514,14 @@ def truncated_drift_family(drift, g, n: int) -> DriftTable:
     else:
         raise TypeError("g must be a Graph or InfiniteGraph")
 
-    from .graphs import graph_distance
+    from .graphs import _bfs_distances
 
+    dist = _bfs_distances(inner_graph, root)
     table = dict()
     base = drift if isinstance(drift, DriftTable) else DriftTable.uniform(drift)
     zero = zero_drift()
     for v in inner_graph.vertices:
-        if graph_distance(inner_graph, root, v) <= n - 2:
+        if dist[v] <= n - 2:
             table[v] = base.for_vertex(v)
         else:
             table[v] = zero

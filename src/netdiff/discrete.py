@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, augmented_truncation, boundary, boundary2, cliques, graph_distance
+from .graphs import Graph, _bfs_distances, augmented_truncation, boundary, boundary2, cliques
 from .graphs import _graph_from_json, _graph_to_json, _label_from_json, _label_to_json
 
 __all__ = [
@@ -51,6 +51,20 @@ def _spread(table: np.ndarray, axes, ndim: int, k: int) -> np.ndarray:
         axes = sorted(axes)
     shape = tuple(k if i in set(axes) else 1 for i in range(ndim))
     return table.reshape(shape)
+
+
+def _weights(m: "FactorModel", scope, vertices, keys) -> np.ndarray:
+    """Product over the axes of `scope`: base weights of `vertices` first,
+    then the factors of `m` on `keys`, in the order given."""
+    pos = {v: i for i, v in enumerate(scope)}
+    nd = len(scope)
+    w = np.ones((m.k,) * nd)
+    for v in vertices:
+        if v in m.base:
+            w = w * _spread(m.base[v], [pos[v]], nd, m.k)
+    for key in keys:
+        w = w * _spread(m.factors[key], [pos[v] for v in key], nd, m.k)
+    return w
 
 
 class FactorModel:
@@ -144,8 +158,10 @@ class JointTable:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != len(self.labels):
             raise ValueError("one axis per vertex required")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
+        if len(set(p.shape)) > 1:
+            raise ValueError("every vertex needs the same number of states")
+        if np.any(p < 0) or not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be nonnegative and finite")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("table must sum to 1")
         object.__setattr__(self, "probs", p)
@@ -154,31 +170,28 @@ class JointTable:
 
 def joint_table(m: FactorModel) -> JointTable:
     """Normalized product of base weights and factors, exact."""
-    g = m.graph
-    nv = len(g.vertices)
-    k = m.k
-    w = np.ones((k,) * nv)
-    for v, vec in m.base.items():
-        w = w * _spread(vec, [g.index(v)], nv, k)
-    for key, table in m.factors.items():
-        w = w * _spread(table, [g.index(v) for v in key], nv, k)
+    w = _weights(m, m.graph.vertices, m.base, m.factors)
     z = w.sum()
     if not z > 0:
         raise ValueError("zero normalizing constant")
-    return JointTable(w / z, g.vertices)
+    return JointTable(w / z, m.graph.vertices)
 
 
 def marginalize(t: JointTable, keep) -> JointTable:
-    keep = list(keep)
-    pos = {lab: i for i, lab in enumerate(t.labels)}
-    drop = tuple(i for lab, i in pos.items() if lab not in set(keep))
-    kept = [lab for lab in t.labels if lab in set(keep)]
+    keep = set(keep)
+    unknown = keep.difference(t.labels)
+    if unknown:
+        raise ValueError(f"labels not in the table: {sorted(map(repr, unknown))}")
+    drop = tuple(i for i, lab in enumerate(t.labels) if lab not in keep)
+    kept = [lab for lab in t.labels if lab in keep]
     return JointTable(t.probs.sum(axis=drop), kept)
 
 
 def empirical_table(samples: np.ndarray, k: int, labels) -> JointTable:
     """Frequency table of integer configurations, shape-compatible with joint_table."""
     samples = np.asarray(samples, dtype=int)
+    if samples.size and (samples.min() < 0 or samples.max() >= k):
+        raise ValueError(f"states must lie in 0..{k - 1}")
     nv = samples.shape[1]
     counts = np.zeros((k,) * nv)
     np.add.at(counts, tuple(samples.T), 1.0)
@@ -216,6 +229,8 @@ def check_mrf_bruteforce(t: JointTable, g: Graph, order: int, tol: float = 1e-10
     given the order-1 or order-2 boundary, for every nonempty vertex set A.
 
     Returns the worst total-variation violation over (A, boundary config).
+    This is the reference test: it enumerates all 2^|V| - 1 sets A and
+    assumes nothing about the law.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -229,7 +244,8 @@ def check_mrf_bruteforce(t: JointTable, g: Graph, order: int, tol: float = 1e-10
     for r in range(1, nv + 1):
         for a_labs in itertools.combinations(g.vertices, r):
             s_labs = tuple(sorted(bnd(g, a_labs), key=g.index))
-            rest = [v for v in g.vertices if v not in set(a_labs) | set(s_labs)]
+            taken = set(a_labs).union(s_labs)
+            rest = [v for v in g.vertices if v not in taken]
             if not rest:
                 continue
             ax_a = [g.index(v) for v in a_labs]
@@ -260,13 +276,13 @@ def factorize_positive_2mrf(t: JointTable, g: Graph, tol: float = 1e-10) -> Fact
 
     Potentials come from Moebius inversion of log p around the all-zeros
     configuration; singleton potentials land in the base weights.  The
-    reconstruction is verified against the input within the tolerance.
+    reconstruction is also the Markov test: by Hammersley-Clifford on the
+    square graph, a strictly positive table is a second-order MRF on g exactly
+    when it factorizes over the 2-cliques of g, so a reconstruction that
+    differs from the input by more than `tol` in total variation is rejected.
     """
     if np.any(t.probs <= 0):
         raise ValueError("factorization requires a strictly positive table")
-    chk = check_mrf_bruteforce(t, g, 2, tol)
-    if not chk.ok:
-        raise ValueError(f"not a second-order MRF: worst violation {chk.max_violation:.3g} at {chk.worst.a}")
     nv = len(g.vertices)
     k = t.probs.shape[0]
     logp = np.log(t.probs)
@@ -284,11 +300,13 @@ def factorize_positive_2mrf(t: JointTable, g: Graph, tol: float = 1e-10) -> Fact
             base[key[0]] = table
         else:
             factors[key] = table
-    model = FactorModel(g, k, factors, base)
-    recon = joint_table(model)
-    tv = total_variation(recon, t)
+    try:
+        model = FactorModel(g, k, factors, base)
+        tv = total_variation(joint_table(model), t)
+    except ValueError as err:  # e.g. potentials or their product overflow float64
+        raise ValueError(f"cannot rebuild this table from its 2-clique potentials: {err}") from err
     if tv > tol:
-        raise ValueError(f"reconstruction mismatch: TV {tv:.3g}")
+        raise ValueError(f"not a second-order MRF on this graph: 2-clique reconstruction differs by TV {tv:.3g}")
     return model
 
 
@@ -306,7 +324,6 @@ def project_to_truncation(m: FactorModel, n: int) -> FactorModel:
     gn = augmented_truncation(g, n)
     keep = set(gn.vertices)
     outside = [v for v in g.vertices if v not in keep]
-    k = m.k
 
     inner = {}
     outer = {}
@@ -318,16 +335,10 @@ def project_to_truncation(m: FactorModel, n: int) -> FactorModel:
     base = {v: w for v, w in m.base.items() if v in keep}
 
     if outside:
-        shell = [v for v in gn.vertices if graph_distance(g, g.root, v) > n - 2]
+        dist = _bfs_distances(g, g.root, limit=n)
+        shell = [v for v in gn.vertices if dist[v] > n - 2]
         scope = shell + outside
-        pos = {v: i for i, v in enumerate(scope)}
-        arr = np.ones((k,) * len(scope))
-        for key, table in outer.items():
-            arr = arr * _spread(table, [pos[v] for v in key], len(scope), k)
-        for v in outside:
-            if v in m.base:
-                arr = arr * _spread(m.base[v], [pos[v]], len(scope), k)
-        agg = arr.sum(axis=tuple(range(len(shell), len(scope))))
+        agg = _weights(m, scope, outside, outer).sum(axis=tuple(range(len(shell), len(scope))))
         # axes of agg follow `shell`; reorder to the key's vertex order
         shell_key = tuple(sorted(shell, key=gn.index))
         agg = np.transpose(agg, [shell.index(v) for v in shell_key])
@@ -336,7 +347,7 @@ def project_to_truncation(m: FactorModel, n: int) -> FactorModel:
         else:
             inner[shell_key] = agg
 
-    result = FactorModel(gn, k, inner, base)
+    result = FactorModel(gn, m.k, inner, base)
     got = joint_table(result)
     want = marginalize(joint_table(m), gn.vertices)
     tv = total_variation(got, want)
@@ -352,16 +363,9 @@ class Witness:
     trial: int
 
 
-def random_factor_model(g: Graph, k: int, rng, scale: float = 1.0, pairs_only: bool = True) -> FactorModel:
-    """Random strictly positive factor model (log-normal factor entries)."""
-    factors = {}
-    if pairs_only:
-        keys = [c for c in cliques(g, 2) if len(c) == 2 and g.has_edge(*c)]
-    else:
-        keys = [c for c in cliques(g, 2) if len(c) >= 2]
-    for clique in keys:
-        key = tuple(sorted(clique, key=g.index))
-        factors[key] = np.exp(rng.normal(size=(k,) * len(key)) * scale)
+def random_factor_model(g: Graph, k: int, rng, scale: float = 1.0) -> FactorModel:
+    """Random strictly positive pairwise model: log-normal entries on every edge."""
+    factors = {edge: np.exp(rng.normal(size=(k, k)) * scale) for edge in g.edges()}
     base = {v: np.exp(rng.normal(size=k) * scale) for v in g.vertices}
     return FactorModel(g, k, factors, base)
 
@@ -422,23 +426,16 @@ def conditional_specification(m: FactorModel, a_set) -> ConditionalKernel:
     t = joint_table(m)
     ax_a = [g.index(v) for v in a]
     ax_b = [g.index(v) for v in b]
-    ax_c = [i for i in range(len(g.vertices)) if i not in set(ax_a) | set(ax_b)]
+    taken = set(ax_a).union(ax_b)
+    ax_c = [i for i in range(len(g.vertices)) if i not in taken]
     p = t.probs.transpose(ax_b + ax_a + ax_c).reshape(k ** len(b), k ** len(a), -1).sum(axis=2)
     pb = p.sum(axis=1)
     live = pb > 0
     exact = np.full_like(p, np.nan)
     exact[live] = p[live] / pb[live][:, None]
 
-    scope = list(b) + list(a)
-    pos = {v: i for i, v in enumerate(scope)}
-    arr = np.ones((k,) * len(scope))
-    for v in a:
-        if v in m.base:
-            arr = arr * _spread(m.base[v], [pos[v]], len(scope), k)
-    for key, table in m.factors.items():
-        if set(key) & set(a):
-            arr = arr * _spread(table, [pos[v] for v in key], len(scope), k)
-    local = arr.reshape(k ** len(b), k ** len(a))
+    meeting = [key for key in m.factors if any(v in a for v in key)]
+    local = _weights(m, b + a, a, meeting).reshape(k ** len(b), k ** len(a))
     denom = local.sum(axis=1)
     ok_rows = denom > 0
     kernel = np.full_like(local, np.nan)

@@ -314,29 +314,18 @@ def augmented_truncation(g: Graph, n: int, root=None) -> Graph:
     return out
 
 
-def is_2cutset(g: Graph, a, b, s, method: str = "auto") -> bool:
+def is_2cutset(g: Graph, a, b, s) -> bool:
     """Whether every path from ``a`` to ``b`` passes two consecutive vertices of ``s``.
 
-    Equivalently (and this is the production algorithm): whether removing
-    ``s`` from the square graph disconnects ``a`` from ``b``.  On small graphs
-    an exhaustive simple-path enumeration is used as the reference algorithm;
-    ``method`` may force either route ("paths" or "square").
+    Equivalently: whether removing ``s`` from the square graph disconnects
+    ``a`` from ``b``, which is how it is computed.  ``_all_paths_hit_consecutive``
+    is the exhaustive simple-path reference.
     """
     sa, sb, ss = _check_subset(g, a), _check_subset(g, b), _check_subset(g, s)
     if not sa or not sb:
         raise ValueError("a and b must be nonempty")
     if sa & sb or sa & ss or sb & ss:
         raise ValueError("a, b, s must be pairwise disjoint")
-    if method == "auto":
-        method = "paths" if len(g) <= 12 else "square"
-    if method == "square":
-        return _separates_in_square(g, sa, sb, ss)
-    if method == "paths":
-        return _all_paths_hit_consecutive(g, sa, sb, ss)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _separates_in_square(g, sa, sb, ss):
     h = square_graph(g)
     seen = set(sa)
     frontier = list(sa)

@@ -19,7 +19,7 @@ from netdiff.discrete import (
     random_factor_model,
     total_variation,
 )
-from netdiff.graphs import Graph, cliques, complete_graph, grid_graph, is_2cutset, path_graph
+from netdiff.graphs import Graph, cliques, complete_graph, cycle_graph, grid_graph, is_2cutset, path_graph
 from netdiff.initials import FactorModelInitial
 
 EQ_FACTOR = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -50,6 +50,28 @@ def test_joint_table_zero_normalizer():
     m = FactorModel(g, 2, {(1, 2): np.zeros((2, 2))})
     with pytest.raises(ValueError):
         joint_table(m)
+
+
+def test_joint_table_rejects_nan_and_unequal_axes():
+    p = np.full((2, 2), 0.25)
+    p[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        JointTable(p, (1, 2))
+    with pytest.raises(ValueError, match="same number of states"):
+        JointTable(np.full((2, 3), 1 / 6), (1, 2))
+
+
+def test_empirical_table_rejects_states_out_of_range():
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="states must lie in"):
+            empirical_table(np.array([[0, 1], [bad, 0]]), 2, (1, 2))
+
+
+def test_marginalize_rejects_unknown_labels():
+    t = joint_table(FactorModel(path_graph(3), 2))
+    with pytest.raises(ValueError, match="99"):
+        marginalize(t, [1, 99])
+    assert marginalize(t, [3, 1]).labels == (1, 3)
 
 
 def test_factor_model_validation():
@@ -111,6 +133,41 @@ def test_factorize_round_trip_random_models():
             assert {frozenset(key) for key in model.factors} <= set(cliques(g, 2))
             count += 1
     assert count == 100
+
+
+def test_factorize_accepts_exactly_the_bruteforce_second_order_mrfs():
+    # the 2-clique reconstruction is the Markov test (Hammersley-Clifford on
+    # the square graph); the exhaustive check is the oracle
+    rng = np.random.default_rng(11)
+    graphs = [path_graph(5), path_graph(6), cycle_graph(6), grid_graph(2, 3), grid_graph(2, 4)]
+    verdicts = []
+    for g in graphs:
+        n = len(g.vertices)
+        tables = [joint_table(random_factor_model(g, 2, rng)) for _ in range(4)]
+        for _ in range(4):
+            p = rng.uniform(0.5, 1.5, size=(2,) * n)
+            tables.append(JointTable(p / p.sum(), g.vertices))
+        for t in tables:
+            try:
+                factorize_positive_2mrf(t, g)
+                accepted = True
+            except ValueError as err:
+                assert "second-order" in str(err)
+                accepted = False
+            assert accepted == check_mrf_bruteforce(t, g, 2).ok
+            verdicts.append(accepted)
+    assert verdicts.count(True) == 20 and verdicts.count(False) == 20
+
+
+def test_factorize_reports_potentials_beyond_float64():
+    # a generic table spread over 300 decades: its Moebius potentials
+    # overflow, so no reconstruction can be formed, let alone compared
+    g = path_graph(5)
+    p = np.exp(np.random.default_rng(0).uniform(-700.0, 0.0, size=(2,) * 5))
+    t = JointTable(p / p.sum(), g.vertices)
+    assert not check_mrf_bruteforce(t, g, 2).ok
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="2-clique potentials"):
+        factorize_positive_2mrf(t, g)
 
 
 def test_factorize_product_measure_gives_unit_factors():

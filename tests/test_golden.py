@@ -1,8 +1,8 @@
 """Golden digests of the numerical routes and of the JSON artifacts.
 
-These pin results bit for bit, so a refactor or a speed-up of the engine or
-of the exact route or of the discrete lab must reproduce them exactly; changing one on purpose
-needs a digest bump stated in CHANGES.md.  The drifts use only arithmetic,
+These pin results bit for bit, so a refactor or a speed-up of the engine,
+of the exact route or of the discrete lab must reproduce them exactly;
+changing one on purpose needs a digest bump stated in CHANGES.md.  The drifts use only arithmetic,
 neighbour averages and running averages (no tanh or sin), so the simulated
 bytes do not depend on the libm build.  The labels are plain ints and
 tuples of ints.

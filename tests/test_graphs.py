@@ -26,6 +26,7 @@ from netdiff.graphs import (
     square_graph,
     z_line,
 )
+from netdiff.graphs import _all_paths_hit_consecutive
 
 
 def random_graph(rng, n, p):
@@ -314,8 +315,8 @@ def test_2cutset_methods_agree():
         rng.shuffle(verts)
         a, b = {verts[0]}, {verts[1]}
         s = set(verts[2 : 2 + int(rng.integers(0, 4))])
-        via_paths = is_2cutset(g, a, b, s, method="paths")
-        via_square = is_2cutset(g, a, b, s, method="square")
+        via_paths = _all_paths_hit_consecutive(g, a, b, s)
+        via_square = is_2cutset(g, a, b, s)
         assert via_paths == via_square
         checked += 1
 
