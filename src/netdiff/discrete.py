@@ -281,6 +281,8 @@ def factorize_positive_2mrf(t: JointTable, g: Graph, tol: float = 1e-10) -> Fact
     when it factorizes over the 2-cliques of g, so a reconstruction that
     differs from the input by more than `tol` in total variation is rejected.
     """
+    if t.labels != g.vertices:
+        raise ValueError("table does not index this graph's vertices")
     if np.any(t.probs <= 0):
         raise ValueError("factorization requires a strictly positive table")
     nv = len(g.vertices)
@@ -302,9 +304,10 @@ def factorize_positive_2mrf(t: JointTable, g: Graph, tol: float = 1e-10) -> Fact
             factors[key] = table
     try:
         model = FactorModel(g, k, factors, base)
-        tv = total_variation(joint_table(model), t)
+        recon = joint_table(model)
     except ValueError as err:  # e.g. potentials or their product overflow float64
         raise ValueError(f"cannot rebuild this table from its 2-clique potentials: {err}") from err
+    tv = total_variation(recon, t)
     if tv > tol:
         raise ValueError(f"not a second-order MRF on this graph: 2-clique reconstruction differs by TV {tv:.3g}")
     return model

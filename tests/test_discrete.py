@@ -159,6 +159,13 @@ def test_factorize_accepts_exactly_the_bruteforce_second_order_mrfs():
     assert verdicts.count(True) == 20 and verdicts.count(False) == 20
 
 
+def test_factorize_requires_the_tables_graph():
+    t = joint_table(random_factor_model(path_graph(4), 2, np.random.default_rng(2)))
+    for g in (path_graph(5), Graph([4, 3, 2, 1], [(1, 2), (2, 3), (3, 4)])):
+        with pytest.raises(ValueError, match="does not index"):
+            factorize_positive_2mrf(t, g)
+
+
 def test_factorize_reports_potentials_beyond_float64():
     # a generic table spread over 300 decades: its Moebius potentials
     # overflow, so no reconstruction can be formed, let alone compared
