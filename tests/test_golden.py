@@ -1,7 +1,8 @@
 """Golden digests of the numerical routes and of the JSON artifacts.
 
 These pin results bit for bit, so a refactor or a speed-up of the engine,
-of the exact route or of the discrete lab must reproduce them exactly;
+of the exact route, of the discrete lab or of the level-n truncation must
+reproduce them exactly;
 changing one on purpose needs a digest bump stated in CHANGES.md.  The drifts use only arithmetic,
 neighbour averages and running averages (no tanh or sin), so the simulated
 bytes do not depend on the libm build.  The labels are plain ints and
@@ -14,13 +15,14 @@ import json
 import numpy as np
 
 from netdiff.cli import main
-from netdiff.coefficients import ConstantDiffusion, parse_drift
+from netdiff.coefficients import ConstantDiffusion, DriftTable, parse_drift, truncated_drift_family
 from netdiff.discrete import (
     FactorModel,
     check_mrf_bruteforce,
     factor_model_to_json,
     factorize_positive_2mrf,
     joint_table,
+    project_to_truncation,
     random_factor_model,
 )
 from netdiff.engine import (
@@ -29,9 +31,10 @@ from netdiff.engine import (
     save_ensemble,
     simulate,
     simulate_driftless,
+    simulate_truncated,
 )
 from netdiff.gaussian import build_linear_system, path_covariance, path_precision_blocks
-from netdiff.graphs import grid_graph, path_graph
+from netdiff.graphs import _graph_to_json, grid_graph, path_graph, regular_tree, z_line
 from netdiff.independence import mrf_order_scan
 from netdiff.initials import NormalInitial, PointMass
 
@@ -88,6 +91,26 @@ def test_discrete_route_digests():
     assert sha(base) == "83aea44c74698df8ee9eda098b713f509ba02245dc1ecdc44d7ca041bde510b7"
     violation = check_mrf_bruteforce(joint, g, 2).max_violation
     assert sha([violation]) == "00ece03d841d0cae9c98cb78e63c1ea05db9eb17869010ee76ab8b267aaf927d"
+
+
+def test_truncation_route_digests():
+    drift = parse_drift("nbr_avg(y) - x")
+    ens = simulate_truncated(z_line(), None, 6, drift, DIFF, NormalInitial(0.0, 1.0), GRID, 30, seed=4)
+    assert sha(ens.values) == "cf4b45dafa23156f085cdc49efadfd8897bebfb7a96707dff82f16b8021424b2"
+    graph_doc = json.dumps(_graph_to_json(ens.graph), sort_keys=True).encode()
+    assert hashlib.sha256(graph_doc).hexdigest() == "a5c2b706631152d7c31a6d72bcfcc52eeb1aba42202f5eac0d3005fd5582ad45"
+
+    tree = regular_tree(3, 5).with_root(4)
+    drift = DriftTable(drift, {1: parse_drift("-x")})
+    family = truncated_drift_family(drift, tree, 4)
+    entries = json.dumps([[v, family.for_vertex(v).text] for v in family.overrides]).encode()
+    assert hashlib.sha256(entries).hexdigest() == "297da4cde981297ec948261b78bb0cede613db0b43b2bd5a8e9749525180bd1e"
+
+    g = path_graph(13, root=7)
+    proj = project_to_truncation(random_factor_model(g, 2, np.random.default_rng(3)), 4)
+    assert list(proj.factors)[-1] == (3, 4, 10, 11) and proj.graph.vertices == tuple(range(3, 12))
+    factors = np.concatenate([t.ravel() for t in proj.factors.values()])
+    assert sha(factors) == "506bf41191af09b0a13db84d25628adac56fac2561b5556c6b8f356d312ac60a"
 
 
 def test_artifact_json_bytes(tmp_path, capsys):
