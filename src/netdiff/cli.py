@@ -90,18 +90,7 @@ def cmd_graph(cfg, opts, run_dir):
     report = {}
     lines = []
     trunc_n = opts.get("truncation_n")
-    if isinstance(g, InfiniteGraph):
-        if trunc_n is None:
-            raise ConfigError("graph on an infinite graph needs options.truncation_n")
-        g_fin = g.truncation(trunc_n)
-        report["truncation"] = {
-            "n": trunc_n,
-            "vertices": [_label_to_json(v) for v in g_fin.vertices],
-            "edges": len(g_fin.edges()),
-        }
-        lines.append(f"truncation n={trunc_n}: {len(g_fin.vertices)} vertices, {len(g_fin.edges())} edges")
-        g = g_fin
-    elif trunc_n is not None:
+    if trunc_n is not None:
         if g.root is None:
             raise ConfigError("options.truncation_n needs a rooted graph")
         g_fin = augmented_truncation(g, trunc_n)
@@ -111,6 +100,11 @@ def cmd_graph(cfg, opts, run_dir):
             "edges": len(g_fin.edges()),
         }
         lines.append(f"truncation n={trunc_n}: {len(g_fin.vertices)} vertices, {len(g_fin.edges())} edges")
+    if isinstance(g, InfiniteGraph):
+        # an infinite graph is reported through its truncation
+        if trunc_n is None:
+            raise ConfigError("graph on an infinite graph needs options.truncation_n")
+        g = g_fin
 
     a = resolve_vertices(g, opts.get("set", [g.vertices[0]]))
     b1 = _sorted_by_index(g, boundary(g, a))
@@ -282,7 +276,7 @@ def cmd_approx(cfg, opts, run_dir):
     if drift.default is None:
         raise ConfigError("approx needs drift.default")
     diff = build_diffusion(cfg)
-    init = build_initial(cfg)
+    init = build_initial(cfg, g)
     replicas = cfg.get("replicas")
     if replicas is None:
         raise ConfigError("config has no replicas field")

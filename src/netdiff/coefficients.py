@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graphs import _truncate
+
 __all__ = [
     "ConstantDiffusion",
     "DiffusionTable",
@@ -493,38 +495,15 @@ def truncated_drift_family(drift, g, n: int) -> DriftTable:
     """Drift table for the level-n truncation: the original drift on the inner
     region (radius n-2), zero drift on the outer shell.
 
-    ``g`` is the original rooted graph (finite or infinite); distances are
-    measured there, not in the truncation, whose shell clique would distort
-    them.
+    ``g`` is the original rooted graph (finite or infinite); the shell is
+    taken from distances measured there, not in the truncation, whose shell
+    clique would distort them.
     """
-    from .graphs import Graph, InfiniteGraph
-
-    if n < 4:
-        raise ValueError("truncation level must be at least 4")
-    if isinstance(g, InfiniteGraph):
-        inner_graph = g.ball(n)
-        root = g.root
-    elif isinstance(g, Graph):
-        if g.root is None:
-            raise ValueError("truncated drift family requires a rooted graph")
-        from .graphs import ball as _ball
-
-        inner_graph = _ball(g, n)
-        root = g.root
-    else:
-        raise TypeError("g must be a Graph or InfiniteGraph")
-
-    from .graphs import _bfs_distances
-
-    dist = _bfs_distances(inner_graph, root)
-    table = dict()
+    gn, shell = _truncate(g, n)
+    shell = set(shell)
     base = drift if isinstance(drift, DriftTable) else DriftTable.uniform(drift)
     zero = zero_drift()
-    for v in inner_graph.vertices:
-        if dist[v] <= n - 2:
-            table[v] = base.for_vertex(v)
-        else:
-            table[v] = zero
+    table = {v: zero if v in shell else base.for_vertex(v) for v in gn.vertices}
     return DriftTable(default=None, overrides=table)
 
 
@@ -897,8 +876,6 @@ def validate_lipschitz(spec: DriftSpec, diffusion=None, degree_bound=None, horiz
 class ConstantDiffusion:
     """Constant invertible diffusion matrix (d × d)."""
 
-    kind = "constant"
-
     def __init__(self, matrix):
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
@@ -940,9 +917,6 @@ class ConstantDiffusion:
     def lipschitz_bound(self):
         return 0.0
 
-    def to_config(self):
-        return {"kind": self.kind, "params": {"matrix": self.matrix.tolist()}}
-
 
 class TanhDiagonalDiffusion:
     """Diagonal state-dependent diffusion σ_ii(x) = a_i + b_i tanh(x_i).
@@ -951,8 +925,6 @@ class TanhDiagonalDiffusion:
     uniformly positive; the matrix is then invertible with uniformly bounded
     inverse, and 1-Lipschitz up to the factor max_i |b_i|.
     """
-
-    kind = "tanh_diagonal"
 
     def __init__(self, a, b):
         a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -985,9 +957,6 @@ class TanhDiagonalDiffusion:
 
     def lipschitz_bound(self):
         return float(np.max(np.abs(self.b)))
-
-    def to_config(self):
-        return {"kind": self.kind, "params": {"a": self.a.tolist(), "b": self.b.tolist()}}
 
 
 @dataclass(frozen=True)

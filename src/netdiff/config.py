@@ -403,7 +403,9 @@ def build_initial(cfg: dict, g=None):
             model = factor_model_from_json(json.dumps(params["model"]))
             return FactorModelInitial(model, params.get("state_values"))
         law = initial_from_config(spec)
-        if spec["kind"] == "per_vertex" and g is not None and not isinstance(g, InfiniteGraph):
+        if spec["kind"] == "per_vertex" and g is not None:
+            if law.overrides and isinstance(g, InfiniteGraph):
+                raise ConfigError("initial overrides need a finite graph")
             resolved = {resolve_vertex(g, key): sub for key, sub in law.overrides.items()}
             law = type(law)(law.default, resolved)
         return law

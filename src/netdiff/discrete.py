@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _bfs_distances, augmented_truncation, boundary, boundary2, cliques
+from .graphs import Graph, _truncate, boundary, boundary2, cliques, square_graph
 from .graphs import _graph_from_json, _graph_to_json, _label_from_json, _label_to_json
 
 __all__ = [
@@ -82,11 +82,12 @@ class FactorModel:
             raise ValueError(f"state space k^|V| = {k}^{nv} exceeds the exact-computation cap")
         self.graph = graph
         self.k = int(k)
-        allowed = set(cliques(graph, 2))
+        square = square_graph(graph)
         self.factors = {}
         for key, table in (factors or {}).items():
             key = tuple(sorted(key, key=graph.index))
-            if frozenset(key) not in allowed:
+            # the square graph has no self-loops, so a repeated vertex fails too
+            if not key or not all(square.has_edge(u, w) for u, w in itertools.combinations(key, 2)):
                 raise ValueError(f"{key!r} is not a 2-clique of the graph")
             table = np.asarray(table, dtype=float)
             if table.shape != (k,) * len(key):
@@ -189,7 +190,10 @@ def marginalize(t: JointTable, keep) -> JointTable:
 
 def empirical_table(samples: np.ndarray, k: int, labels) -> JointTable:
     """Frequency table of integer configurations, shape-compatible with joint_table."""
-    samples = np.asarray(samples, dtype=int)
+    raw = np.asarray(samples)
+    samples = raw.astype(int)
+    if np.any(samples != raw):
+        raise ValueError("states must be integers")
     if samples.size and (samples.min() < 0 or samples.max() >= k):
         raise ValueError(f"states must lie in 0..{k - 1}")
     nv = samples.shape[1]
@@ -322,9 +326,7 @@ def project_to_truncation(m: FactorModel, n: int) -> FactorModel:
     augmented graph).  The result's joint table equals the exact marginal.
     """
     g = m.graph
-    if g.root is None:
-        raise ValueError("projection requires a rooted graph")
-    gn = augmented_truncation(g, n)
+    gn, shell = _truncate(g, n)
     keep = set(gn.vertices)
     outside = [v for v in g.vertices if v not in keep]
 
@@ -338,13 +340,10 @@ def project_to_truncation(m: FactorModel, n: int) -> FactorModel:
     base = {v: w for v, w in m.base.items() if v in keep}
 
     if outside:
-        dist = _bfs_distances(g, g.root, limit=n)
-        shell = [v for v in gn.vertices if dist[v] > n - 2]
         scope = shell + outside
+        # the axes of agg follow `shell`, which is already in the key's vertex order
         agg = _weights(m, scope, outside, outer).sum(axis=tuple(range(len(shell), len(scope))))
-        # axes of agg follow `shell`; reorder to the key's vertex order
-        shell_key = tuple(sorted(shell, key=gn.index))
-        agg = np.transpose(agg, [shell.index(v) for v in shell_key])
+        shell_key = tuple(shell)
         if shell_key in inner:
             inner[shell_key] = inner[shell_key] * agg
         else:

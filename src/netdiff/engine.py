@@ -33,7 +33,7 @@ from .coefficients import (
     evaluate_vectorized,
     truncated_drift_family,
 )
-from .graphs import Graph, InfiniteGraph, augmented_truncation
+from .graphs import Graph, _truncate, augmented_truncation
 from .graphs import _graph_from_json, _graph_to_json, _label_from_json, _label_to_json
 
 __all__ = [
@@ -304,16 +304,9 @@ def simulate_truncated(g_infinite, root, n, drift, diffusion, mu0, grid, n_repli
     shell evolves driftless.  Noise streams are keyed by vertex label, so
     levels sharing a vertex share its noise.
     """
-    if isinstance(g_infinite, InfiniteGraph):
-        base = g_infinite if root is None or root == g_infinite.root else InfiniteGraph(g_infinite.neighbor_fn, root)
-        trunc = base.truncation(n)
-    elif isinstance(g_infinite, Graph):
-        base = g_infinite if root is None else g_infinite.with_root(root)
-        trunc = augmented_truncation(base, n)
-    else:
-        raise TypeError("expected a Graph or InfiniteGraph")
+    base = g_infinite if root is None else g_infinite.with_root(root)
     family = truncated_drift_family(drift, base, n)
-    return _run(trunc, family, diffusion, mu0, grid, n_replicas, seed, substeps, f"P_n({n})")
+    return _run(augmented_truncation(base, n), family, diffusion, mu0, grid, n_replicas, seed, substeps, f"P_n({n})")
 
 
 def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
@@ -415,18 +408,10 @@ def truncation_convergence(
     reported, not enforced.
     """
     ns = sorted(set(int(n) for n in ns))
-    if ns[0] < 4:
-        raise ValueError("truncation level must be at least 4")
     window = list(window)
-    if isinstance(g_infinite, InfiniteGraph):
-        base = g_infinite if root is None or root == g_infinite.root else InfiniteGraph(g_infinite.neighbor_fn, root)
-        inner = set(base.ball(ns[0] - 2).vertices)
-    else:
-        base = g_infinite if root is None else g_infinite.with_root(root)
-        from .graphs import ball
-
-        inner = set(ball(base, ns[0] - 2).vertices)
-    outside = [v for v in window if v not in inner]
+    base = g_infinite if root is None else g_infinite.with_root(root)
+    smallest, shell = _truncate(base, ns[0])
+    outside = [v for v in window if v not in smallest or v in shell]
     if outside:
         raise ValueError(f"window vertices {outside!r} lie outside the smallest truncation's interior")
 

@@ -190,23 +190,8 @@ def boundary2(g: Graph, a) -> set:
 
 def graph_distance(g: Graph, u, v):
     """Length of a shortest path between u and v; math.inf when disconnected."""
-    g.index(u)
     g.index(v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for y in g.neighbors(w):
-                if y not in dist:
-                    dist[y] = dist[w] + 1
-                    if y == v:
-                        return dist[y]
-                    nxt.append(y)
-        frontier = nxt
-    return math.inf
+    return _bfs_distances(g, u).get(v, math.inf)
 
 
 def square_graph(g: Graph) -> Graph:
@@ -257,20 +242,22 @@ def cliques(g: Graph, order: int):
     return sets
 
 
-def ball(g: Graph, n: int, root=None) -> Graph:
-    """Induced subgraph on vertices within graph distance n of the root."""
+def ball(g, n: int, root=None) -> Graph:
+    """Induced subgraph on vertices within graph distance n of the root.
+
+    ``g`` may be a `Graph` or an `InfiniteGraph`; either way the result is a
+    finite `Graph` rooted at the root.
+    """
     if n < 0:
         raise ValueError("radius must be nonnegative")
     r = g.root if root is None else root
     if r is None:
         raise ValueError("ball requires a rooted graph or an explicit root")
-    g.index(r)
-    dist = _bfs_distances(g, r, limit=n)
-    sub = g.subgraph(dist.keys())
-    return sub if sub.root == r else sub.with_root(r)
+    return _induced(g, _bfs_distances(g, r, limit=n), r)
 
 
 def _bfs_distances(g, r, limit=None):
+    """Graph distances from r, in BFS order, up to ``limit`` when given."""
     dist = {r: 0}
     frontier = [r]
     while frontier:
@@ -287,31 +274,54 @@ def _bfs_distances(g, r, limit=None):
     return dist
 
 
-def augmented_truncation(g: Graph, n: int, root=None) -> Graph:
-    """Ball of radius n with the outer shell completed into a clique.
+def _induced(g, vertices, r) -> Graph:
+    """Finite induced subgraph of either graph kind, rooted at r.
 
-    The result keeps all induced edges of the radius-n ball around the root
-    and additionally joins every pair of vertices in the shell
-    U_n = B_n \\ B_{n-2}.  Within radius n-3 the second-order neighborhood
-    structure of the original graph is preserved exactly, which is what makes
-    the construction usable as a finite stand-in for a larger graph.
+    A `Graph` keeps its own vertex order; an `InfiniteGraph` region takes the
+    order of ``vertices`` and has its neighbor callback checked for symmetry.
     """
+    if isinstance(g, Graph):
+        sub = g.subgraph(vertices)
+        return sub if sub.root == r else sub.with_root(r)
+    pos = {v: i for i, v in enumerate(vertices)}
+    edges = []
+    for v in pos:
+        for w in g.neighbors(v):
+            if w in pos:
+                if v not in g.neighbors(w):
+                    raise ValueError(f"neighbor callback is not symmetric at ({v!r}, {w!r})")
+                if pos[v] < pos[w]:
+                    edges.append((v, w))
+    return Graph(pos, edges, root=r)
+
+
+def _truncate(g, n: int, root=None):
+    """The level-n augmented truncation and its shell U_n, in the truncation's
+    vertex order; the one home of the n-2 shell rule."""
     if n < 4:
         raise ValueError("truncation level must be at least 4")
     r = g.root if root is None else root
     if r is None:
         raise ValueError("augmented truncation requires a root")
-    g.index(r)
     dist = _bfs_distances(g, r, limit=n)
-    inner = g.subgraph(dist.keys())
+    inner = _induced(g, dist, r)
     shell = [v for v in inner.vertices if dist[v] > n - 2]
     edges = inner.edges()
-    have = inner.edge_set()
-    for u, w in combinations(shell, 2):
-        if frozenset((u, w)) not in have:
-            edges.append((u, w))
-    out = Graph(inner.vertices, edges, root=r)
-    return out
+    edges.extend((u, w) for u, w in combinations(shell, 2) if not inner.has_edge(u, w))
+    return Graph(inner.vertices, edges, root=r), shell
+
+
+def augmented_truncation(g, n: int, root=None) -> Graph:
+    """Ball of radius n with the outer shell completed into a clique.
+
+    ``g`` may be a `Graph` or an `InfiniteGraph`.  The result keeps all
+    induced edges of the radius-n ball around the root and additionally
+    joins every pair of vertices in the shell U_n = B_n \\ B_{n-2}.  Within
+    radius n-3 the second-order neighborhood structure of the original graph
+    is preserved exactly, which is what makes the construction usable as a
+    finite stand-in for a larger graph.
+    """
+    return _truncate(g, n, root)[0]
 
 
 def is_2cutset(g: Graph, a, b, s) -> bool:
@@ -529,38 +539,14 @@ class InfiniteGraph:
         self.neighbor_fn = neighbor_fn
         self.root = root
 
-    def ball(self, n: int) -> Graph:
-        if n < 0:
-            raise ValueError("radius must be nonnegative")
-        dist = {self.root: 0}
-        order = [self.root]
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                if dist[v] >= n:
-                    continue
-                for w in self.neighbor_fn(v):
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        order.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        edges = []
-        pos = {v: i for i, v in enumerate(order)}
-        for v in order:
-            for w in set(self.neighbor_fn(v)):
-                if w in pos:
-                    if v not in set(self.neighbor_fn(w)):
-                        raise ValueError(f"neighbor callback is not symmetric at ({v!r}, {w!r})")
-                    if pos[v] < pos[w]:
-                        edges.append((v, w))
-        return Graph(order, edges, root=self.root)
+    def neighbors(self, v):
+        return tuple(self.neighbor_fn(v))
 
-    def truncation(self, n: int) -> Graph:
-        if n < 4:
-            raise ValueError("truncation level must be at least 4")
-        return augmented_truncation(self.ball(n), n)
+    def with_root(self, root):
+        return InfiniteGraph(self.neighbor_fn, root)
+
+    def ball(self, n: int) -> Graph:
+        return ball(self, n)
 
 
 def z_line() -> InfiniteGraph:

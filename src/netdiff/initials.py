@@ -36,9 +36,6 @@ class PointMass(_ProductLaw):
             raise ValueError("point mass value has wrong dimension")
         return np.broadcast_to(self.value, (n, d))
 
-    def to_config(self):
-        return {"kind": "point", "params": {"value": self.value.tolist()}}
-
 
 class NormalInitial(_ProductLaw):
     def __init__(self, mean=0.0, std=1.0):
@@ -50,9 +47,6 @@ class NormalInitial(_ProductLaw):
     def draw(self, rng, n, d, vertex):
         return rng.normal(self.mean, self.std, size=(n, d))
 
-    def to_config(self):
-        return {"kind": "normal", "params": {"mean": self.mean, "std": self.std}}
-
 
 class UniformInitial(_ProductLaw):
     def __init__(self, lo, hi):
@@ -63,9 +57,6 @@ class UniformInitial(_ProductLaw):
 
     def draw(self, rng, n, d, vertex):
         return rng.uniform(self.lo, self.hi, size=(n, d))
-
-    def to_config(self):
-        return {"kind": "uniform", "params": {"lo": self.lo, "hi": self.hi}}
 
 
 class PerVertexInitial(_ProductLaw):
@@ -80,15 +71,6 @@ class PerVertexInitial(_ProductLaw):
         if law is None:
             raise ValueError(f"no initial law for vertex {vertex!r}")
         return law.draw(rng, n, d, vertex)
-
-    def to_config(self):
-        return {
-            "kind": "per_vertex",
-            "params": {
-                "default": None if self.default is None else self.default.to_config(),
-                "overrides": {str(v): law.to_config() for v, law in self.overrides.items()},
-            },
-        }
 
 
 class FactorModelInitial:
@@ -119,9 +101,6 @@ class FactorModelInitial:
         if self.state_values is not None:
             vals = self.state_values[states]
         return vals[:, :, None]
-
-    def to_config(self):
-        return {"kind": "factor_model", "params": {"model": self.model.to_config()}}
 
 
 def initial_from_config(cfg: dict):

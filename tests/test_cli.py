@@ -242,6 +242,26 @@ def test_approx_on_the_line(tmp_path, capsys):
     assert trend["ks_max"][0] >= trend["ks_max"][-1]
 
 
+def test_approx_rejects_initial_overrides(tmp_path, capsys):
+    cfg = {
+        "graph": {"kind": "z_line"},
+        "drift": {"default": "-x"},
+        "diffusion": {"kind": "constant", "params": {"value": 1.0}},
+        "initial": {
+            "kind": "per_vertex",
+            "params": {
+                "default": {"kind": "point", "params": {"value": 0.0}},
+                "overrides": {"0": {"kind": "point", "params": {"value": 5.0}}},
+            },
+        },
+        "replicas": 20,
+        "seed": 1,
+        "options": {"approx": {"window": [0], "levels": [4, 6], "steps": 4}},
+    }
+    assert main(["approx", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "initial section: initial overrides need a finite graph" in capsys.readouterr().err
+
+
 def test_hc_lab_battery(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     cfg["graph"] = {"kind": "path", "n": 4}

@@ -67,6 +67,13 @@ def test_empirical_table_rejects_states_out_of_range():
             empirical_table(np.array([[0, 1], [bad, 0]]), 2, (1, 2))
 
 
+def test_empirical_table_rejects_non_integer_states():
+    with pytest.raises(ValueError, match="states must be integers"):
+        empirical_table([[0.7, 1.9], [1.2, 0.0]], 2, (1, 2))
+    t = empirical_table([[0.0, 1.0], [1.0, 0.0]], 2, (1, 2))
+    assert t.probs[0, 1] == t.probs[1, 0] == 0.5
+
+
 def test_marginalize_rejects_unknown_labels():
     t = joint_table(FactorModel(path_graph(3), 2))
     with pytest.raises(ValueError, match="99"):
@@ -83,6 +90,9 @@ def test_factor_model_validation():
         FactorModel(path_graph(2), 2, {(1, 2): -np.ones((2, 2))})
     with pytest.raises(ValueError):
         FactorModel(path_graph(2), 2, {(1, 2): np.ones((3, 3))})
+    for key in ((1, 1), (1, 2, 2), ()):  # a repeated vertex, or none
+        with pytest.raises(ValueError, match="not a 2-clique"):
+            FactorModel(path_graph(3), 2, {key: np.ones((2,) * len(key))})
 
 
 def p3_dependent_table():

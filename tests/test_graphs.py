@@ -220,7 +220,7 @@ def test_ball_requires_root():
 
 
 def test_augmented_truncation_z_line_example():
-    t = z_line().truncation(4)
+    t = augmented_truncation(z_line(), 4)
     assert set(t.vertices) == set(range(-4, 5))
     shell = {-4, -3, 3, 4}
     added = t.edge_set() - {frozenset((i, i + 1)) for i in range(-4, 4)}
