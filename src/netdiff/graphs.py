@@ -296,8 +296,8 @@ def _induced(g, vertices, r) -> Graph:
 
 
 def _truncate(g, n: int, root=None):
-    """The level-n augmented truncation and its shell U_n, in the truncation's
-    vertex order; the one home of the n-2 shell rule."""
+    """The level-n augmented truncation and its shell U_n = B_n \\ B_{n-2},
+    the shell listed in the truncation's vertex order."""
     if n < 4:
         raise ValueError("truncation level must be at least 4")
     r = g.root if root is None else root
