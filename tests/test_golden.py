@@ -1,21 +1,35 @@
 """Golden digests of the numerical routes and of the JSON artifacts.
 
 These pin results bit for bit, so a refactor or a speed-up of the engine,
-of the exact route, of the discrete lab or of the level-n truncation must
-reproduce them exactly;
-changing one on purpose needs a digest bump stated in CHANGES.md.  The drifts use only arithmetic,
+of the exact route, of the discrete lab, of the level-n truncation or of the
+drift language must reproduce them exactly;
+changing one on purpose needs a digest bump stated in CHANGES.md.  The simulated drifts use only arithmetic,
 neighbour averages and running averages (no tanh or sin), so the simulated
-bytes do not depend on the libm build.  The labels are plain ints and
-tuples of ints.
+bytes do not depend on the libm build.  The drift-language pin does evaluate
+sin, cos and tanh, through numpy's own loops, on one small context.  The
+labels are plain ints and tuples of ints.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
+from test_coefficients import CATALOG, _random_ast
 
 from netdiff.cli import main
-from netdiff.coefficients import ConstantDiffusion, DriftTable, parse_drift, truncated_drift_family
+from netdiff.coefficients import (
+    ConstantDiffusion,
+    DriftSpec,
+    DriftTable,
+    EvalContext,
+    evaluate_vectorized,
+    parse_drift,
+    serialize,
+    truncated_drift_family,
+    validate_linear_growth,
+    validate_lipschitz,
+)
 from netdiff.discrete import (
     FactorModel,
     check_mrf_bruteforce,
@@ -151,3 +165,42 @@ def test_artifact_json_bytes(tmp_path, capsys):
     (run_dir,) = (tmp_path / "out").iterdir()
     report = (run_dir / "report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == "13c2695d8d30592aecc7abad900cb46cd8feeb120e3444848616c103222f6f91"
+
+
+def _node_kinds(node):
+    yield type(node).__name__
+    for f in dataclasses.fields(node):
+        child = getattr(node, f.name)
+        if dataclasses.is_dataclass(child):
+            yield from _node_kinds(child)
+
+
+def test_drift_language_digests():
+    rng = np.random.default_rng(2024)
+    asts = [parse_drift(src).ast for src in CATALOG]
+    asts += [_random_ast(rng, int(rng.integers(1, 5)), False, True) for _ in range(200)]
+    assert {k for ast in asts for k in _node_kinds(ast)} == {
+        "Num", "OwnState", "NbrState", "TimeVar", "Component", "BinOp", "Neg",
+        "Call1", "Clamp", "NbrAgg", "Lag", "RunAvg", "RunMaxNorm",
+    }
+    text = "\n".join(serialize(ast) for ast in asts).encode()
+    assert hashlib.sha256(text).hexdigest() == "7fa5eaac357c96e86479c012174c29aa5391e81c8d02b0c70ea97c9cc9ae4023"
+
+    certs = []
+    for ast in asts:
+        for degree in (None, 3):
+            g = validate_linear_growth(DriftSpec(ast), 2.0, degree_bound=degree)
+            lip = validate_lipschitz(DriftSpec(ast), degree_bound=degree, horizon=2.0)
+            certs.append(repr((g.violations, g.growth_constant, g.notes)))
+            certs.append(repr((lip.violations, lip.lipschitz_constant, lip.notes)))
+    assert hashlib.sha256("\n".join(certs).encode()).hexdigest() == "83855c2dfb9ecfdff3b5b8342c819a73780611f30df5d3def83f01af32cae878"
+
+    state = np.random.default_rng(7)
+    times = np.linspace(0.0, 1.0, 9)
+    hist = state.normal(size=(5, 9, 3))
+    nbrs = [state.normal(size=(5, 3)) for _ in range(2)]
+    values = []
+    for ast in asts:
+        ctx = EvalContext(0.8, hist[:, 6, :], nbrs=nbrs, times=times, own_hist=hist)
+        values.append(evaluate_vectorized(DriftSpec(ast), ctx, 3))
+    assert sha(values) == "741b088fb6c487a329898e9955be9170b04327a09efe6a6bdd3557b20212ff1f"
