@@ -6,7 +6,13 @@ Drifts are written in a small expression language over a vertex's own state
 ``runmax_norm(x)``.  The language is deliberately closed under exactly the
 operations for which affine-growth and Lipschitz certificates can be derived
 structurally, so validation is a syntax-directed computation rather than an
-empirical test.
+empirical test.  Number literals and the constants the parser folds
+(denominators, clamp bounds, lags and windows) are finite.
+
+Each pass lives on the node classes: ``ev(ctx)`` evaluates a node,
+``ser()`` gives its text and binding precedence, and ``growth(v)`` and
+``lip(v)`` give its two certificate records.  A new node type implements
+these four methods.
 
 Evaluation is vectorized: all state arguments carry a leading replica axis, so
 the simulation engine can advance every replica of a vertex with a handful of
@@ -17,8 +23,10 @@ simulation grid with left-constant interpolation and never look past ``t``.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,90 +67,350 @@ class EvalError(ValueError):
 # ---------------------------------------------------------------------------
 # AST
 
+_INF = math.inf
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_NEG, _ATOM = 3, 4  # binding precedence of a leading minus and of an atom
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+class _Growth(NamedTuple):
+    c0: float  # constant part of the affine bound
+    cx: float  # coefficient of ||x||_{*,t}
+    cy: float  # coefficient of the (per-neighbor or summed) ||y||_{*,t}
+    mag: float  # uniform magnitude bound, inf if unbounded
+    state_free: bool  # independent of x and y
+
+
+class _Lip(NamedTuple):
+    kx: float  # Lipschitz in ||x - x'||_{*,t}
+    ky: float  # Lipschitz in the degree-normalized neighbor average
+    mag: float
+    state_free: bool
+
+
+class _Node:
+    """Shared defaults: generic children, and certificates that pass
+    through a node's only child (``Component``, ``Neg``)."""
+
+    stateful = False  # reads x, y, t or the neighbor set itself
+
+    def children(self):
+        kids = (getattr(self, f.name) for f in fields(self))
+        return tuple(k for k in kids if isinstance(k, _Node))
+
+    def growth(self, v):
+        (child,) = self.children()
+        return child.growth(v)
+
+    def lip(self, v):
+        (child,) = self.children()
+        return child.lip(v)
+
+
+class _Own(_Node):
+    """The own state ``x`` and the functionals of its history."""
+
+    stateful = True
+
+    def growth(self, v):
+        return _Growth(0.0, 1.0, 0.0, _INF, False)
+
+    def lip(self, v):
+        return _Lip(1.0, 0.0, _INF, False)
+
+
+class _History(_Own):
+    """Reads the own path on the grid points <= t, never past t."""
+
+    def ev(self, ctx):
+        if ctx.own_hist is None or ctx.times is None:
+            raise EvalError(f"{type(self).__name__} requires a path history")
+        upto = int(np.searchsorted(ctx.times, ctx.t, side="right"))
+        if upto == 0:
+            raise EvalError("history does not cover the evaluation time")
+        return self.read(ctx.t, ctx.times[:upto], ctx.own_hist[:, :upto, :])
+
 
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def ev(self, ctx):
+        return self.value
+
+    def ser(self):
+        return _fmt(self.value), _ATOM if self.value >= 0 else _NEG
+
+    def growth(self, v):
+        m = abs(self.value)
+        return _Growth(m, 0.0, 0.0, m, True)
+
+    def lip(self, v):
+        return _Lip(0.0, 0.0, abs(self.value), True)
+
 
 @dataclass(frozen=True)
-class OwnState:
+class OwnState(_Own):
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def ev(self, ctx):
+        return ctx.own
+
+    def ser(self):
+        return "x", _ATOM
+
 
 @dataclass(frozen=True)
-class NbrState:
+class NbrState(_Node):
     pos: int = field(default=-1, compare=False, repr=False)
+    stateful = True
+
+    def ev(self, ctx):
+        if ctx.active is None:
+            raise EvalError("neighbor state read outside a neighbor aggregate")
+        return ctx.nbrs[ctx.active]
+
+    def ser(self):
+        return "y", _ATOM
+
+    def growth(self, v):
+        return _Growth(0.0, 0.0, 1.0, _INF, False)
+
+    def lip(self, v):
+        return _Lip(0.0, 1.0, _INF, False)
 
 
 @dataclass(frozen=True)
-class TimeVar:
+class TimeVar(_Node):
     pos: int = field(default=-1, compare=False, repr=False)
+    stateful = True
+
+    def ev(self, ctx):
+        return ctx.t
+
+    def ser(self):
+        return "t", _ATOM
+
+    def growth(self, v):
+        return _Growth(v.horizon, 0.0, 0.0, v.horizon, True)
+
+    def lip(self, v):
+        note = "time-dependent coefficients: constant reported at the given horizon"
+        if note not in v.notes:
+            v.notes.append(note)
+        return _Lip(0.0, 0.0, v.horizon, True)
 
 
 @dataclass(frozen=True)
-class Component:
+class Component(_Node):
     base: object
     index: int
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def ev(self, ctx):
+        base = self.base.ev(ctx)
+        if self.index >= base.shape[-1]:
+            raise EvalError(f"component {self.index} out of range for dimension {base.shape[-1]}")
+        return base[..., self.index : self.index + 1]
+
+    def ser(self):
+        return f"{_text(self.base, _ATOM)}[{self.index}]", _ATOM
+
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str
     left: object
     right: object
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def ev(self, ctx):
+        return _OPS[self.op](self.left.ev(ctx), self.right.ev(ctx))
+
+    def ser(self):
+        p = _PREC[self.op]
+        return f"{_text(self.left, p)} {self.op} {_text(self.right, p + 1)}", p
+
+    def growth(self, v):
+        l, r = self.left.growth(v), self.right.growth(v)
+        free = l.state_free and r.state_free
+        if self.op in "+-":
+            return _Growth(l.c0 + r.c0, l.cx + r.cx, l.cy + r.cy, l.mag + r.mag, free)
+        if self.op == "*":
+            if l.mag < _INF:
+                return _Growth(l.mag * r.c0, l.mag * r.cx, l.mag * r.cy, l.mag * r.mag, free)
+            if r.mag < _INF:
+                return _Growth(r.mag * l.c0, r.mag * l.cx, r.mag * l.cy, r.mag * l.mag, free)
+            return v.bad(self, "product of two unbounded expressions has no affine growth certificate")
+        # division by a nonzero constant, guaranteed by the parser
+        s = 1.0 / abs(_const_value(self.right))
+        return _Growth(s * l.c0, s * l.cx, s * l.cy, s * l.mag, l.state_free)
+
+    def lip(self, v):
+        l, r = self.left.lip(v), self.right.lip(v)
+        if self.op in "+-":
+            return _Lip(l.kx + r.kx, l.ky + r.ky, l.mag + r.mag, l.state_free and r.state_free)
+        if self.op == "*":
+            if l.state_free:
+                return _Lip(l.mag * r.kx, l.mag * r.ky, l.mag * r.mag, r.state_free)
+            if r.state_free:
+                return _Lip(r.mag * l.kx, r.mag * l.ky, l.mag * r.mag, l.state_free)
+            if l.mag < _INF and r.mag < _INF:
+                kx = l.mag * r.kx + r.mag * l.kx
+                ky = l.mag * r.ky + r.mag * l.ky
+                return _Lip(kx, ky, l.mag * r.mag, False)
+            return v.bad(self, "product of unbounded state-dependent expressions is not globally Lipschitz")
+        s = 1.0 / abs(_const_value(self.right))
+        return _Lip(s * l.kx, s * l.ky, s * l.mag, l.state_free)
+
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: object
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def ev(self, ctx):
+        return -self.arg.ev(ctx)
+
+    def ser(self):
+        return f"-{_text(self.arg, _ATOM)}", _NEG
+
 
 @dataclass(frozen=True)
-class Call1:
+class Call1(_Node):
     fn: str  # sin | cos | tanh
     arg: object
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def ev(self, ctx):
+        return getattr(np, self.fn)(self.arg.ev(ctx))
+
+    def ser(self):
+        return f"{self.fn}({_text(self.arg)})", _ATOM
+
+    def growth(self, v):
+        return _Growth(1.0, 0.0, 0.0, 1.0, self.arg.growth(v).state_free)
+
+    def lip(self, v):
+        c = self.arg.lip(v)
+        return _Lip(c.kx, c.ky, 1.0, c.state_free)
+
 
 @dataclass(frozen=True)
-class Clamp:
+class Clamp(_Node):
     lo: float
     hi: float
     arg: object
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def ev(self, ctx):
+        return np.clip(self.arg.ev(ctx), self.lo, self.hi)
+
+    def ser(self):
+        return f"clamp({_fmt(self.lo)}, {_fmt(self.hi)})({_text(self.arg)})", _ATOM
+
+    def growth(self, v):
+        c = self.arg.growth(v)
+        m = max(abs(self.lo), abs(self.hi))
+        return _Growth(m, 0.0, 0.0, m, c.state_free)
+
+    def lip(self, v):
+        c = self.arg.lip(v)
+        return _Lip(c.kx, c.ky, max(abs(self.lo), abs(self.hi)), c.state_free)
+
 
 @dataclass(frozen=True)
-class NbrAgg:
+class NbrAgg(_Node):
     kind: str  # sum | avg
     arg: object
     pos: int = field(default=-1, compare=False, repr=False)
+    stateful = True
+
+    def ev(self, ctx):
+        if not ctx.nbrs:
+            return 0.0
+        acc = None
+        for j in range(len(ctx.nbrs)):
+            ctx.active = j
+            val = self.arg.ev(ctx)
+            acc = val if acc is None else acc + val
+        ctx.active = None
+        if self.kind == "avg":
+            acc = acc / len(ctx.nbrs)
+        return acc
+
+    def ser(self):
+        return f"nbr_{self.kind}({_text(self.arg)})", _ATOM
+
+    def growth(self, v):
+        c = self.arg.growth(v)
+        if self.kind == "avg":
+            # average of per-neighbor bounds never needs the degree
+            return c
+        if c.c0 > 0 or c.cx > 0:
+            if v.degree_bound is None:
+                return v.bad(self, "nbr_sum over an expression with non-neighbor terms requires a degree bound")
+            dg = float(v.degree_bound)
+            return _Growth(dg * c.c0, dg * c.cx, c.cy, dg * c.mag, c.state_free)
+        # pure neighbor content: Σ_u bound folds into the Σ_u ||y_u|| slot
+        return c._replace(mag=0.0 if c.mag == 0.0 else _INF)
+
+    def lip(self, v):
+        c = self.arg.lip(v)
+        if self.kind == "avg":
+            return c
+        if v.degree_bound is None:
+            return v.bad(self, "nbr_sum requires a degree bound for a Lipschitz certificate")
+        dg = float(v.degree_bound)
+        return _Lip(dg * c.kx, dg * c.ky, dg * c.mag if c.mag < _INF else _INF, c.state_free)
 
 
 @dataclass(frozen=True)
-class Lag:
+class Lag(_History):
     tau: float
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def read(self, t, times, hist):
+        s = max(0.0, t - self.tau)
+        idx = int(np.searchsorted(times, s, side="right")) - 1
+        if idx < 0:
+            raise EvalError("history is shorter than the requested lag window")
+        return hist[:, idx, :]
+
+    def ser(self):
+        return f"lag(x, {_fmt(self.tau)})", _ATOM
+
 
 @dataclass(frozen=True)
-class RunAvg:
+class RunAvg(_History):
     window: object  # positive float, or None meaning the whole past [0, t]
     pos: int = field(default=-1, compare=False, repr=False)
 
+    def read(self, t, times, hist):
+        lo = 0.0 if self.window is None else max(0.0, t - self.window)
+        start = int(np.searchsorted(times, lo, side="left"))
+        if start >= len(times):
+            start = len(times) - 1
+        return hist[:, start:, :].mean(axis=1)
+
+    def ser(self):
+        return f"runavg(x, {'t' if self.window is None else _fmt(self.window)})", _ATOM
+
 
 @dataclass(frozen=True)
-class RunMaxNorm:
+class RunMaxNorm(_History):
     pos: int = field(default=-1, compare=False, repr=False)
+
+    def read(self, t, times, hist):
+        norms = np.sqrt((hist**2).sum(axis=2))
+        return norms.max(axis=1, keepdims=True)
+
+    def ser(self):
+        return "runmax_norm(x)", _ATOM
 
 
 _UNARY_FNS = ("sin", "cos", "tanh")
-_HISTORY_NODES = (Lag, RunAvg, RunMaxNorm)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +435,10 @@ def _tokenize(src):
                 break
             raise ParseError(f"unexpected character {rest[0]!r}", i)
         if m.group("num") is not None:
-            toks.append(("num", float(m.group("num")), m.start("num")))
+            value = float(m.group("num"))
+            if not math.isfinite(value):
+                raise ParseError("number too large for a float", m.start("num"))
+            toks.append(("num", value, m.start("num")))
         elif m.group("name") is not None:
             toks.append(("name", m.group("name"), m.start("name")))
         else:
@@ -179,7 +450,6 @@ def _tokenize(src):
 
 class _Parser:
     def __init__(self, src):
-        self.src = src
         self.toks = _tokenize(src)
         self.i = 0
 
@@ -216,9 +486,11 @@ class _Parser:
             if op == "/":
                 c = _const_value(rhs)
                 if c is None:
-                    raise ParseError("division requires a constant denominator", pos)
+                    raise ParseError("division requires a finite constant denominator", pos)
                 if c == 0.0:
                     raise ParseError("division by zero constant", pos)
+                if not math.isfinite(1.0 / c):
+                    raise ParseError("division by a constant whose reciprocal overflows", pos)
             node = BinOp(op, node, rhs, pos=pos)
         return node
 
@@ -276,7 +548,7 @@ class _Parser:
             self.expect("sym", ")")
             lo, hi = _const_value(lo_node), _const_value(hi_node)
             if lo is None or hi is None:
-                raise ParseError("clamp bounds must be constants", pos)
+                raise ParseError("clamp bounds must be finite constants", pos)
             if lo > hi:
                 raise ParseError("clamp bounds must satisfy lo <= hi", pos)
             self.expect("sym", "(")
@@ -298,7 +570,7 @@ class _Parser:
             self.expect("sym", ")")
             tau = _const_value(tau_node)
             if tau is None or tau < 0:
-                raise ParseError("lag delay must be a nonnegative constant", pos)
+                raise ParseError("lag delay must be a nonnegative finite constant", pos)
             return Lag(tau, pos=pos)
         if val == "runavg":
             self.expect("sym", "(")
@@ -312,7 +584,7 @@ class _Parser:
                 wnode = self.expr(in_nbr)
                 window = _const_value(wnode)
                 if window is None or window <= 0:
-                    raise ParseError("runavg window must be a positive constant or t", pos2)
+                    raise ParseError("runavg window must be a positive finite constant or t", pos2)
             self.expect("sym", ")")
             return RunAvg(window, pos=pos)
         if val == "runmax_norm":
@@ -324,80 +596,25 @@ class _Parser:
 
 
 def _const_value(node):
-    """Value of a state- and time-independent subtree, else None."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        v = _const_value(node.arg)
-        return None if v is None else -v
-    if isinstance(node, BinOp):
-        l, r = _const_value(node.left), _const_value(node.right)
-        if l is None or r is None:
-            return None
-        if node.op == "+":
-            return l + r
-        if node.op == "-":
-            return l - r
-        if node.op == "*":
-            return l * r
-        return l / r if r != 0 else None
-    if isinstance(node, Call1):
-        v = _const_value(node.arg)
-        if v is None:
-            return None
-        return float(getattr(np, node.fn)(v))
-    if isinstance(node, Clamp):
-        v = _const_value(node.arg)
-        return None if v is None else float(np.clip(v, node.lo, node.hi))
-    return None
+    """Finite value of a state- and time-independent subtree, else None."""
+    if any(n.stateful for n in _walk(node)):
+        return None
+    value = float(node.ev(None))
+    return value if math.isfinite(value) else None
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 
 def serialize(node) -> str:
     """Canonical text form; parse(serialize(ast)) reproduces the AST exactly."""
-    return _ser(node, 0)
+    return _text(node, 0)
 
 
-def _ser(node, min_prec):
-    if isinstance(node, Num):
-        s = repr(node.value)
-        if s.endswith(".0"):
-            s = s[:-2]
-        return s if node.value >= 0 or min_prec <= 3 else f"({s})"
-    if isinstance(node, OwnState):
-        return "x"
-    if isinstance(node, NbrState):
-        return "y"
-    if isinstance(node, TimeVar):
-        return "t"
-    if isinstance(node, Component):
-        return f"{_ser(node.base, 4)}[{node.index}]"
-    if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        s = f"{_ser(node.left, p)} {node.op} {_ser(node.right, p + 1)}"
-        return f"({s})" if p < min_prec else s
-    if isinstance(node, Neg):
-        inner = _ser(node.arg, 4)
-        s = f"-{inner}"
-        return f"({s})" if min_prec > 3 else s
-    if isinstance(node, Call1):
-        return f"{node.fn}({_ser(node.arg, 0)})"
-    if isinstance(node, Clamp):
-        return f"clamp({_fmt(node.lo)}, {_fmt(node.hi)})({_ser(node.arg, 0)})"
-    if isinstance(node, NbrAgg):
-        return f"nbr_{node.kind}({_ser(node.arg, 0)})"
-    if isinstance(node, Lag):
-        return f"lag(x, {_fmt(node.tau)})"
-    if isinstance(node, RunAvg):
-        return f"runavg(x, {'t' if node.window is None else _fmt(node.window)})"
-    if isinstance(node, RunMaxNorm):
-        return "runmax_norm(x)"
-    raise TypeError(f"not an expression node: {node!r}")
+def _text(node, min_prec=0):
+    s, prec = node.ser()
+    return f"({s})" if prec < min_prec else s
 
 
 def _fmt(v):
@@ -407,10 +624,8 @@ def _fmt(v):
 
 def _walk(node):
     yield node
-    for attr in ("base", "left", "right", "arg"):
-        child = getattr(node, attr, None)
-        if child is not None and not isinstance(child, (int, float, str)):
-            yield from _walk(child)
+    for child in node.children():
+        yield from _walk(child)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +644,11 @@ class DriftSpec:
 
     @property
     def uses_history(self) -> bool:
-        return any(isinstance(n, _HISTORY_NODES) for n in _walk(self.ast))
-
-    @property
-    def uses_neighbors(self) -> bool:
-        return any(isinstance(n, NbrAgg) for n in _walk(self.ast))
+        return any(isinstance(n, _History) for n in _walk(self.ast))
 
     @property
     def is_zero(self) -> bool:
         return isinstance(self.ast, Num) and self.ast.value == 0.0
-
-    def max_component(self):
-        idxs = [n.index for n in _walk(self.ast) if isinstance(n, Component)]
-        return max(idxs) if idxs else None
 
     def __repr__(self):
         return f"DriftSpec({self.text!r})"
@@ -474,11 +681,6 @@ class DriftTable:
 
     def for_vertex(self, v):
         return self.overrides.get(v, self.default)
-
-    def specs(self):
-        out = [] if self.default is None else [self.default]
-        out.extend(s for s in self.overrides.values() if s is not None)
-        return out
 
     @classmethod
     def uniform(cls, spec):
@@ -530,81 +732,9 @@ class EvalContext:
         self.active = None
 
 
-def _evaluate(node, ctx):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, OwnState):
-        return ctx.own
-    if isinstance(node, NbrState):
-        if ctx.active is None:
-            raise EvalError("neighbor state read outside a neighbor aggregate")
-        return ctx.nbrs[ctx.active]
-    if isinstance(node, TimeVar):
-        return ctx.t
-    if isinstance(node, Component):
-        base = _evaluate(node.base, ctx)
-        if node.index >= base.shape[-1]:
-            raise EvalError(
-                f"component {node.index} out of range for dimension {base.shape[-1]}"
-            )
-        return base[..., node.index : node.index + 1]
-    if isinstance(node, BinOp):
-        l = _evaluate(node.left, ctx)
-        r = _evaluate(node.right, ctx)
-        if node.op == "+":
-            return l + r
-        if node.op == "-":
-            return l - r
-        if node.op == "*":
-            return l * r
-        return l / r
-    if isinstance(node, Neg):
-        return -_evaluate(node.arg, ctx)
-    if isinstance(node, Call1):
-        return getattr(np, node.fn)(_evaluate(node.arg, ctx))
-    if isinstance(node, Clamp):
-        return np.clip(_evaluate(node.arg, ctx), node.lo, node.hi)
-    if isinstance(node, NbrAgg):
-        if not ctx.nbrs:
-            return 0.0
-        acc = None
-        for j in range(len(ctx.nbrs)):
-            ctx.active = j
-            val = _evaluate(node.arg, ctx)
-            acc = val if acc is None else acc + val
-        ctx.active = None
-        if node.kind == "avg":
-            acc = acc / len(ctx.nbrs)
-        return acc
-    # history functionals
-    if ctx.own_hist is None or ctx.times is None:
-        raise EvalError(f"{type(node).__name__} requires a path history")
-    upto = int(np.searchsorted(ctx.times, ctx.t, side="right"))
-    if upto == 0:
-        raise EvalError("history does not cover the evaluation time")
-    times = ctx.times[:upto]
-    hist = ctx.own_hist[:, :upto, :]
-    if isinstance(node, Lag):
-        s = max(0.0, ctx.t - node.tau)
-        idx = int(np.searchsorted(times, s, side="right")) - 1
-        if idx < 0:
-            raise EvalError("history is shorter than the requested lag window")
-        return hist[:, idx, :]
-    if isinstance(node, RunAvg):
-        lo = 0.0 if node.window is None else max(0.0, ctx.t - node.window)
-        start = int(np.searchsorted(times, lo, side="left"))
-        if start >= upto:
-            start = upto - 1
-        return hist[:, start:, :].mean(axis=1)
-    if isinstance(node, RunMaxNorm):
-        norms = np.sqrt((hist**2).sum(axis=2))
-        return norms.max(axis=1, keepdims=True)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def evaluate_vectorized(spec: DriftSpec, ctx: EvalContext, d: int):
     """Evaluate for all replicas at once; result broadcasts to (R, d)."""
-    val = np.asarray(_evaluate(spec.ast, ctx), dtype=float)
+    val = np.asarray(spec.ast.ev(ctx), dtype=float)
     r = ctx.own.shape[0]
     if val.shape == (r, d):
         return val
@@ -691,18 +821,19 @@ class ValidationReport:
         return not self.violations
 
 
-_INF = math.inf
+@dataclass
+class _Walk:
+    """Settings and findings of one certificate walk over an AST."""
 
+    rejected: tuple  # the record of a node that breaks a rule
+    horizon: float
+    degree_bound: object
+    violations: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
 
-class _GrowthCert:
-    __slots__ = ("c0", "cx", "cy", "mag", "state_free")
-
-    def __init__(self, c0, cx, cy, mag, state_free):
-        self.c0 = c0  # constant part of the affine bound
-        self.cx = cx  # coefficient of ||x||_{*,t}
-        self.cy = cy  # coefficient of the (per-neighbor or summed) ||y||_{*,t}
-        self.mag = mag  # uniform magnitude bound, inf if unbounded
-        self.state_free = state_free  # independent of x and y
+    def bad(self, node, rule):
+        self.violations.append((serialize(node), rule))
+        return self.rejected
 
 
 def validate_linear_growth(spec: DriftSpec, horizon: float, degree_bound=None) -> ValidationReport:
@@ -712,88 +843,10 @@ def validate_linear_growth(spec: DriftSpec, horizon: float, degree_bound=None) -
     uniformly bounded factor, and ``nbr_sum`` over expressions that mention
     anything besides y needs ``degree_bound``.
     """
-    violations = []
-    notes = []
-
-    def bad(node, rule):
-        violations.append((serialize(node), rule))
-        return _GrowthCert(_INF, _INF, _INF, _INF, False)
-
-    def cert(node):
-        if isinstance(node, Num):
-            v = abs(node.value)
-            return _GrowthCert(v, 0.0, 0.0, v, True)
-        if isinstance(node, TimeVar):
-            return _GrowthCert(horizon, 0.0, 0.0, horizon, True)
-        if isinstance(node, (OwnState, Lag, RunAvg, RunMaxNorm)):
-            return _GrowthCert(0.0, 1.0, 0.0, _INF, False)
-        if isinstance(node, NbrState):
-            return _GrowthCert(0.0, 0.0, 1.0, _INF, False)
-        if isinstance(node, Component):
-            return cert(node.base)
-        if isinstance(node, Neg):
-            return cert(node.arg)
-        if isinstance(node, Call1):
-            c = cert(node.arg)
-            return _GrowthCert(1.0, 0.0, 0.0, 1.0, c.state_free)
-        if isinstance(node, Clamp):
-            c = cert(node.arg)
-            m = max(abs(node.lo), abs(node.hi))
-            return _GrowthCert(m, 0.0, 0.0, m, c.state_free)
-        if isinstance(node, BinOp):
-            l, r = cert(node.left), cert(node.right)
-            if node.op in "+-":
-                return _GrowthCert(
-                    l.c0 + r.c0,
-                    l.cx + r.cx,
-                    l.cy + r.cy,
-                    l.mag + r.mag,
-                    l.state_free and r.state_free,
-                )
-            if node.op == "*":
-                if l.mag < _INF:
-                    s = l.mag
-                    return _GrowthCert(s * r.c0, s * r.cx, s * r.cy, s * r.mag, l.state_free and r.state_free)
-                if r.mag < _INF:
-                    s = r.mag
-                    return _GrowthCert(s * l.c0, s * l.cx, s * l.cy, s * l.mag, l.state_free and r.state_free)
-                return bad(node, "product of two unbounded expressions has no affine growth certificate")
-            # division by a nonzero constant, guaranteed by the parser
-            s = 1.0 / abs(_const_value(node.right))
-            return _GrowthCert(s * l.c0, s * l.cx, s * l.cy, s * l.mag, l.state_free)
-        if isinstance(node, NbrAgg):
-            c = cert(node.arg)
-            if node.kind == "avg":
-                # average of per-neighbor bounds never needs the degree
-                return _GrowthCert(c.c0, c.cx, c.cy, c.mag, c.state_free)
-            if c.c0 > 0 or c.cx > 0:
-                if degree_bound is None:
-                    return bad(
-                        node,
-                        "nbr_sum over an expression with non-neighbor terms requires a degree bound",
-                    )
-                dg = float(degree_bound)
-                return _GrowthCert(dg * c.c0, dg * c.cx, c.cy, dg * c.mag, c.state_free)
-            # pure neighbor content: Σ_u bound folds into the Σ_u ||y_u|| slot
-            mag = 0.0 if c.mag == 0.0 else _INF
-            return _GrowthCert(c.c0, c.cx, c.cy, mag, c.state_free)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    root = cert(spec.ast)
-    growth = None
-    if not violations:
-        growth = max(root.c0, root.cx, root.cy)
-    return ValidationReport(kind="growth", violations=violations, growth_constant=growth, notes=notes)
-
-
-class _LipCert:
-    __slots__ = ("kx", "ky", "mag", "state_free")
-
-    def __init__(self, kx, ky, mag, state_free):
-        self.kx = kx  # Lipschitz in ||x - x'||_{*,t}
-        self.ky = ky  # Lipschitz in the degree-normalized neighbor average
-        self.mag = mag
-        self.state_free = state_free
+    v = _Walk(_Growth(_INF, _INF, _INF, _INF, False), horizon, degree_bound)
+    root = spec.ast.growth(v)
+    growth = None if v.violations else max(root.c0, root.cx, root.cy)
+    return ValidationReport(kind="growth", violations=v.violations, growth_constant=growth, notes=v.notes)
 
 
 def validate_lipschitz(spec: DriftSpec, diffusion=None, degree_bound=None, horizon: float = 1.0) -> ValidationReport:
@@ -801,71 +854,14 @@ def validate_lipschitz(spec: DriftSpec, diffusion=None, degree_bound=None, horiz
     neighbor average).  Products require a constant or two bounded factors;
     ``nbr_sum`` requires a degree bound.  The constant scales with the horizon
     whenever ``t`` multiplies state, and the report notes that."""
-    violations = []
-    notes = []
-
-    def bad(node, rule):
-        violations.append((serialize(node), rule))
-        return _LipCert(_INF, _INF, _INF, False)
-
-    def cert(node):
-        if isinstance(node, Num):
-            return _LipCert(0.0, 0.0, abs(node.value), True)
-        if isinstance(node, TimeVar):
-            if "time-dependent coefficients: constant reported at the given horizon" not in notes:
-                notes.append("time-dependent coefficients: constant reported at the given horizon")
-            return _LipCert(0.0, 0.0, horizon, True)
-        if isinstance(node, (OwnState, Lag, RunAvg, RunMaxNorm)):
-            return _LipCert(1.0, 0.0, _INF, False)
-        if isinstance(node, NbrState):
-            return _LipCert(0.0, 1.0, _INF, False)
-        if isinstance(node, Component):
-            return cert(node.base)
-        if isinstance(node, Neg):
-            return cert(node.arg)
-        if isinstance(node, Call1):
-            c = cert(node.arg)
-            return _LipCert(c.kx, c.ky, 1.0, c.state_free)
-        if isinstance(node, Clamp):
-            c = cert(node.arg)
-            return _LipCert(c.kx, c.ky, max(abs(node.lo), abs(node.hi)), c.state_free)
-        if isinstance(node, BinOp):
-            l, r = cert(node.left), cert(node.right)
-            if node.op in "+-":
-                return _LipCert(l.kx + r.kx, l.ky + r.ky, l.mag + r.mag, l.state_free and r.state_free)
-            if node.op == "*":
-                if l.state_free:
-                    return _LipCert(l.mag * r.kx, l.mag * r.ky, l.mag * r.mag, r.state_free)
-                if r.state_free:
-                    return _LipCert(r.mag * l.kx, r.mag * l.ky, l.mag * r.mag, l.state_free)
-                if l.mag < _INF and r.mag < _INF:
-                    kx = l.mag * r.kx + r.mag * l.kx
-                    ky = l.mag * r.ky + r.mag * l.ky
-                    return _LipCert(kx, ky, l.mag * r.mag, False)
-                return bad(node, "product of unbounded state-dependent expressions is not globally Lipschitz")
-            s = 1.0 / abs(_const_value(node.right))
-            return _LipCert(s * l.kx, s * l.ky, s * l.mag, l.state_free)
-        if isinstance(node, NbrAgg):
-            c = cert(node.arg)
-            if node.kind == "avg":
-                return _LipCert(c.kx, c.ky, c.mag, c.state_free)
-            if degree_bound is None:
-                return bad(node, "nbr_sum requires a degree bound for a Lipschitz certificate")
-            dg = float(degree_bound)
-            return _LipCert(dg * c.kx, dg * c.ky, dg * c.mag if c.mag < _INF else _INF, c.state_free)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    root = cert(spec.ast)
-    lip = None if violations else max(root.kx, root.ky)
-    dlip = None
-    if diffusion is not None:
-        dlip = diffusion.lipschitz_bound()
+    v = _Walk(_Lip(_INF, _INF, _INF, False), horizon, degree_bound)
+    root = spec.ast.lip(v)
     return ValidationReport(
         kind="lipschitz",
-        violations=violations,
-        lipschitz_constant=lip,
-        diffusion_lipschitz=dlip,
-        notes=notes,
+        violations=v.violations,
+        lipschitz_constant=None if v.violations else max(root.kx, root.ky),
+        diffusion_lipschitz=None if diffusion is None else diffusion.lipschitz_bound(),
+        notes=v.notes,
     )
 
 

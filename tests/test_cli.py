@@ -315,6 +315,13 @@ def test_bad_grid_is_a_config_error(tmp_path, capsys):
     assert "grid section: grid must start at 0" in capsys.readouterr().err
 
 
+def test_overflowing_drift_constant_is_a_config_error(tmp_path, capsys):
+    cfg = copy.deepcopy(BASE)
+    cfg["drift"] = {"default": "1e400*x"}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "drift section: " in capsys.readouterr().err
+
+
 def test_exit_code_3_on_explosion(tmp_path, capsys):
     cfg = {
         "graph": {"kind": "path", "n": 2},

@@ -144,6 +144,14 @@ def test_parser_round_trip_200_random_expressions():
         "x +",
         "1 2",
         "x @ y",
+        "1e400*x",  # non-finite constants
+        "sin(1e400)*x",
+        "x[1e400]",
+        "x / 1e-320",
+        "x / (1e308*10)",
+        "clamp(-1e308*10, 1)(x)",
+        "lag(x, 1e308*10)",
+        "runavg(x, 1e308*10)",
     ],
 )
 def test_parse_errors(src):
