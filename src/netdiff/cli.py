@@ -307,6 +307,7 @@ def cmd_approx(cfg, opts, run_dir):
             "levels": [r.n for r in rows],
             "energy_distance": [r.energy_distance for r in rows],
             "ks_max": [r.ks_max for r in rows],
+            "points": [r.points for r in rows],
             "decreasing_overall": bool(ok),
         },
     )

@@ -60,6 +60,8 @@ _KIND_NOISE = 0
 _KIND_INITIAL = 1
 _KIND_JOINT = 2
 
+_ENERGY_POINTS = 4000  # points of each sample that energy_distance keeps
+
 
 class SimulationError(RuntimeError):
     """Non-finite state encountered; carries the first offending location."""
@@ -341,8 +343,8 @@ def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
     return GirsanovWeights(weights, m, qv, float(grid[-1]))
 
 
-def energy_distance(x: np.ndarray, y: np.ndarray, max_points: int | None = 4000) -> float:
-    """Unbiased sample energy distance between two point clouds (n, p)."""
+def energy_distance(x: np.ndarray, y: np.ndarray, max_points: int | None = _ENERGY_POINTS) -> float:
+    """Unbiased sample energy distance on the first ``max_points`` points of two clouds (n, p)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if max_points is not None:
@@ -363,6 +365,7 @@ class TruncationRow:
     energy_distance: float
     ks_max: float
     replicas: int
+    points: int  # replicas per level that the energy distance used
 
 
 @dataclass(frozen=True)
@@ -381,9 +384,9 @@ class TruncationTable:
         return all(a >= b for a, b in zip(d, d[1:]))
 
     def to_csv(self) -> str:
-        lines = ["n,energy_distance,ks_max,replicas"]
+        lines = ["n,energy_distance,ks_max,replicas,points"]
         for row in self.rows:
-            lines.append(f"{row.n},{row.energy_distance:.10g},{row.ks_max:.10g},{row.replicas}")
+            lines.append(f"{row.n},{row.energy_distance:.10g},{row.ks_max:.10g},{row.replicas},{row.points}")
         return "\n".join(lines) + "\n"
 
 
@@ -432,7 +435,7 @@ def truncation_convergence(
             ks_2samp(cur[:, i], ref[:, i], method="asymp").statistic
             for i in range(cur.shape[1])
         )
-        rows.append(TruncationRow(n, ed, float(ks), n_replicas))
+        rows.append(TruncationRow(n, ed, float(ks), n_replicas, min(n_replicas, _ENERGY_POINTS)))
     return TruncationTable(tuple(rows))
 
 

@@ -235,10 +235,11 @@ def test_approx_on_the_line(tmp_path, capsys):
     assert "trend n=4 -> n=8: PASS" in text
     rd = only_run_dir(tmp_path / "out", "approx")
     lines = (rd / "truncation.csv").read_text().strip().split("\n")
-    assert lines[0] == "n,energy_distance,ks_max,replicas"
+    assert lines[0] == "n,energy_distance,ks_max,replicas,points"
     assert len(lines) == 4
     trend = json.loads((rd / "trend.json").read_text())
     assert trend["levels"] == [4, 6, 8]
+    assert trend["points"] == [1500, 1500, 1500]
     assert trend["ks_max"][0] >= trend["ks_max"][-1]
 
 

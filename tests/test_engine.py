@@ -201,10 +201,16 @@ def test_truncation_convergence_zero_drift_indistinguishable():
         # common random numbers: window paths coincide bitwise without drift
         assert row.ks_max == 0.0
         assert row.energy_distance <= 1e-12
-        assert row.replicas == 3000
+        assert row.replicas == row.points == 3000
     csv = table.to_csv()
-    assert csv.splitlines()[0] == "n,energy_distance,ks_max,replicas"
+    assert csv.splitlines()[0] == "n,energy_distance,ks_max,replicas,points"
     assert len(csv.splitlines()) == 3
+
+
+def test_truncation_convergence_reports_the_energy_points_used():
+    table = truncation_convergence(z_line(), None, UNIT, PointMass(0.0), [0], 0.25, [4, 5], 4500, seed=3, steps=2)
+    assert [(r.replicas, r.points) for r in table] == [(4500, 4000), (4500, 4000)]
+    assert [line.split(",")[-2:] for line in table.to_csv().splitlines()[1:]] == [["4500", "4000"]] * 2
 
 
 def test_truncation_convergence_window_validation():
