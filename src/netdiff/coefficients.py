@@ -243,7 +243,7 @@ class BinOp(_Node):
             if r.mag < _INF:
                 return _Growth(r.mag * l.c0, r.mag * l.cx, r.mag * l.cy, r.mag * l.mag, free)
             return v.bad(self, "product of two unbounded expressions has no affine growth certificate")
-        # division by a nonzero constant, guaranteed by the parser
+        # division by a finite nonzero constant, guaranteed by the parser
         s = 1.0 / abs(_const_value(self.right))
         return _Growth(s * l.c0, s * l.cx, s * l.cy, s * l.mag, l.state_free)
 
