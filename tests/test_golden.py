@@ -3,11 +3,12 @@
 These pin results bit for bit, so a refactor or a speed-up of the engine,
 of the exact route, of the discrete lab, of the level-n truncation or of the
 drift language must reproduce them exactly;
-changing one on purpose needs a digest bump stated in CHANGES.md.  The simulated drifts use only arithmetic,
-neighbour averages and running averages (no tanh or sin), so the simulated
-bytes do not depend on the libm build.  The drift-language pin does evaluate
-sin, cos and tanh, through numpy's own loops, on one small context.  The
-labels are plain ints and tuples of ints.
+changing one on purpose needs a digest bump stated in CHANGES.md.  Most
+simulated drifts use only arithmetic, neighbour averages and running
+averages.  The engine-kernel pins and the drift-language pin also evaluate
+tanh, sin and cos, through numpy's own loops, so those digests hold for the
+numpy build they were made with.  The labels are plain ints and tuples of
+ints.
 """
 
 import dataclasses
@@ -20,9 +21,11 @@ from test_coefficients import CATALOG, _random_ast
 from netdiff.cli import main
 from netdiff.coefficients import (
     ConstantDiffusion,
+    DiffusionTable,
     DriftSpec,
     DriftTable,
     EvalContext,
+    TanhDiagonalDiffusion,
     evaluate_vectorized,
     parse_drift,
     serialize,
@@ -48,7 +51,7 @@ from netdiff.engine import (
     simulate_truncated,
 )
 from netdiff.gaussian import build_linear_system, path_covariance, path_precision_blocks
-from netdiff.graphs import _graph_to_json, grid_graph, path_graph, regular_tree, z_line
+from netdiff.graphs import Graph, _graph_to_json, grid_graph, path_graph, regular_tree, z_line
 from netdiff.independence import mrf_order_scan
 from netdiff.initials import NormalInitial, PointMass
 
@@ -82,6 +85,54 @@ def test_girsanov_weights_and_entropy_bound_digests():
     ens = simulate(g, drift, DIFF, PointMass(0.0), GRID, 60, seed=9)
     bound = entropy_bound_estimate(ens, drift, DIFF, [(1, 1), (0, 1), (2, 2)], 0.75)
     assert repr(bound) == "np.float64(0.02847221154388121)"
+
+
+def test_engine_kernel_digests():
+    # degrees 2, 3 and 4 plus an isolated vertex, so every degree group,
+    # and a group with no neighbours, reaches the stepper
+    g4 = grid_graph(4, 4)
+    g = Graph(list(g4.vertices) + [(9, 9)], g4.edges())
+    mu = NormalInitial(0.0, 1.0)
+    got = {}
+    for text in (
+        "nbr_avg(tanh(y)) - x",
+        "nbr_sum(sin(y)) - lag(x, 0.2) + cos(t)*x",
+        "clamp(-1, 1)(nbr_avg(y*y)) - runmax_norm(x)",
+        "runavg(x, t) - x",
+    ):
+        got[text] = sha(simulate(g, parse_drift(text), DIFF, mu, GRID, 30, seed=6).values)
+    matrix = ConstantDiffusion([[1, 0.3], [0, 0.8]])
+    got["d2"] = sha(simulate(g, parse_drift("nbr_avg(y) - x - 0.1*runmax_norm(x)"), matrix, mu, GRID, 30, seed=6).values)
+    drift = parse_drift("nbr_avg(tanh(y)) - x")
+    got["tanh_diagonal"] = sha(simulate(g, drift, TanhDiagonalDiffusion([1.0], [0.4]), mu, GRID, 30, seed=6).values)
+    got["substeps"] = sha(simulate(g, drift, DIFF, mu, GRID, 30, seed=6, substeps=3).values)
+    table = DriftTable(parse_drift("nbr_avg(y) - x"), {
+        (0, 0): parse_drift("0"),
+        (1, 1): parse_drift("sin(t) - 2*x"),
+        (3, 2): None,
+        (9, 9): parse_drift("lag(x, 0.3) - x"),
+    })
+    diffs = DiffusionTable(DIFF, {(2, 2): ConstantDiffusion([[1.3]]), (3, 1): TanhDiagonalDiffusion([1.0], [0.5])})
+    got["tables"] = sha(simulate(g, table, diffs, mu, GRID, 30, seed=6).values)
+    w = girsanov_weights(simulate_driftless(g, diffs, PointMass(0.0), GRID, 30, seed=6), table, diffs)
+    got["m"] = sha([w.m[v] for v in g.vertices])
+    got["qv"] = sha([w.quadratic_variation[v] for v in g.vertices])
+    ens = simulate(g, table, diffs, PointMass(0.0), GRID, 30, seed=6)
+    # a repeated vertex counts twice; (0, 0) has no drift
+    got["entropy"] = repr(entropy_bound_estimate(ens, table, diffs, [(1, 1), (0, 0), (2, 2), (1, 1), (3, 1)], 0.75))
+    assert got == {
+        "nbr_avg(tanh(y)) - x": "62d1879439964b276b619410d92118c66d7751f20076e9543114a6f05ea67409",
+        "nbr_sum(sin(y)) - lag(x, 0.2) + cos(t)*x": "08d344cd073af20f0fa5829300626b201c66e490990d012557531c955aadb2c9",
+        "clamp(-1, 1)(nbr_avg(y*y)) - runmax_norm(x)": "3ddf9286b2fe40c2281cf337fbdcd44a3d57e69d120397d0d04fca811377acba",
+        "runavg(x, t) - x": "bd16e116f62bff6cb6ca11fe564fbb25c0492bb0071497053e9c2330a4aa0de5",
+        "d2": "374c26a075355753b902787d653f8bd72fa9178c32a1e7d0c3e688b150f76a3e",
+        "tanh_diagonal": "df8ecde9505a0b56f6e0922a13fa417984ed9d6c98ca1520f98fa37628ec241e",
+        "substeps": "73371e0979de264ad0fc76c61ab72db18ff0f3446ea01ef6093f61cb69c6da64",
+        "tables": "47583ebe149dc2090249af5f31724ea1bd623b105951f9e77093bbb05c130b04",
+        "m": "4ac418d2a7c8032c38b64a87964370097873228d0f3e11059c778bc18cd3e63c",
+        "qv": "dd836d3056d3cc8e80753bef10d2507b825bf16097da36d82053e8adf439569e",
+        "entropy": "np.float64(0.7055953725165237)",
+    }
 
 
 def test_exact_route_digests():
