@@ -6,8 +6,8 @@ Drifts are written in a small expression language over a vertex's own state
 ``runmax_norm(x)``.  The language is deliberately closed under exactly the
 operations for which affine-growth and Lipschitz certificates can be derived
 structurally, so validation is a syntax-directed computation rather than an
-empirical test.  Number literals and the constants the parser folds
-(denominators, clamp bounds, lags and windows) are finite.
+empirical test.  Number literals and all constant arithmetic are finite: the
+parser folds every constant operation as it builds it.
 
 Each pass lives on the node classes: ``ev(ctx)`` evaluates a node,
 ``ser()`` gives its text and binding precedence, and ``growth(v)`` and
@@ -473,8 +473,7 @@ class _Parser:
         node = self.term(in_nbr)
         while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
             _, op, pos = self.next()
-            rhs = self.term(in_nbr)
-            node = BinOp(op, node, rhs, pos=pos)
+            node = _binop(op, node, self.term(in_nbr), pos)
         return node
 
     # term := unary (('*'|'/') unary)*
@@ -491,7 +490,7 @@ class _Parser:
                     raise ParseError("division by zero constant", pos)
                 if not math.isfinite(1.0 / c):
                     raise ParseError("division by a constant whose reciprocal overflows", pos)
-            node = BinOp(op, node, rhs, pos=pos)
+            node = _binop(op, node, rhs, pos)
         return node
 
     def unary(self, in_nbr):
@@ -593,6 +592,14 @@ class _Parser:
             self.expect("sym", ")")
             return RunMaxNorm(pos=pos)
         raise ParseError(f"unknown identifier {val!r}", pos)
+
+
+def _binop(op, left, right, pos):
+    """A BinOp node; constant arithmetic is folded here and must stay finite."""
+    node = BinOp(op, left, right, pos=pos)
+    if not any(n.stateful for n in _walk(node)) and not math.isfinite(node.ev(None)):
+        raise ParseError("constant arithmetic overflows a float", pos)
+    return node
 
 
 def _const_value(node):

@@ -152,6 +152,7 @@ def test_parser_round_trip_200_random_expressions():
         "clamp(-1e308*10, 1)(x)",
         "lag(x, 1e308*10)",
         "runavg(x, 1e308*10)",
+        "sin(1e308*10)*x",  # constant arithmetic outside a folded position
     ],
 )
 def test_parse_errors(src):
