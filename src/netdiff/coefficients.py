@@ -14,8 +14,9 @@ Each pass lives on the node classes: ``ev(ctx)`` evaluates a node,
 ``lip(v)`` give its two certificate records.  A new node type implements
 these four methods.
 
-Evaluation is vectorized: all state arguments carry a leading replica axis, so
-the simulation engine can advance every replica of a vertex with a handful of
+Evaluation is vectorized: all state arguments carry leading batch axes (the
+replicas, and optionally a block of vertices before them), so the simulation
+engine can advance every replica of a group of vertices with a handful of
 numpy operations per step.  History functionals read the path on the
 simulation grid with left-constant interpolation and never look past ``t``.
 """
@@ -128,7 +129,8 @@ class _History(_Own):
         upto = int(np.searchsorted(ctx.times, ctx.t, side="right"))
         if upto == 0:
             raise EvalError("history does not cover the evaluation time")
-        return self.read(ctx.t, ctx.times[:upto], ctx.own_hist[:, :upto, :])
+        val = self.read(ctx.t, ctx.times[:upto], ctx.own_hist[..., :upto, :])
+        return val if ctx.rows is None else val[ctx.rows]
 
 
 @dataclass(frozen=True)
@@ -376,7 +378,7 @@ class Lag(_History):
         idx = int(np.searchsorted(times, s, side="right")) - 1
         if idx < 0:
             raise EvalError("history is shorter than the requested lag window")
-        return hist[:, idx, :]
+        return hist[..., idx, :]
 
     def ser(self):
         return f"lag(x, {_fmt(self.tau)})", _ATOM
@@ -392,7 +394,7 @@ class RunAvg(_History):
         start = int(np.searchsorted(times, lo, side="left"))
         if start >= len(times):
             start = len(times) - 1
-        return hist[:, start:, :].mean(axis=1)
+        return hist[..., start:, :].mean(axis=-2)
 
     def ser(self):
         return f"runavg(x, {'t' if self.window is None else _fmt(self.window)})", _ATOM
@@ -403,8 +405,8 @@ class RunMaxNorm(_History):
     pos: int = field(default=-1, compare=False, repr=False)
 
     def read(self, t, times, hist):
-        norms = np.sqrt((hist**2).sum(axis=2))
-        return norms.max(axis=1, keepdims=True)
+        norms = np.sqrt((hist**2).sum(axis=-1))
+        return norms.max(axis=-1, keepdims=True)
 
     def ser(self):
         return "runmax_norm(x)", _ATOM
@@ -721,31 +723,35 @@ def truncated_drift_family(drift, g, n: int) -> DriftTable:
 
 
 class EvalContext:
-    """Vectorized evaluation state for one vertex at one time.
+    """Vectorized evaluation state for one vertex, or a group, at one time.
 
-    own / neighbor values are (R, d) arrays; histories, when present, are
-    (R, m, d) arrays aligned with ``times`` (grid points ≤ t, plus possibly
-    later ones, which are masked out so evaluation never reads past t).
+    Leading axes are batch axes: own and neighbor values are (R, d) for one
+    vertex, (n, R, d) for n vertices; histories are (..., m, d), time at axis
+    -2, aligned with ``times`` (grid points ≤ t, plus possibly later ones,
+    which are masked out so evaluation never reads past t).  With ``rows``
+    set, ``own_hist`` is the shared (V, R, m, d) history: a history node
+    reduces over time on it, then takes ``rows``, and never copies it.
     """
 
-    __slots__ = ("t", "times", "own", "own_hist", "nbrs", "active")
+    __slots__ = ("t", "times", "own", "own_hist", "nbrs", "active", "rows")
 
-    def __init__(self, t, own, nbrs=(), times=None, own_hist=None):
+    def __init__(self, t, own, nbrs=(), times=None, own_hist=None, rows=None):
         self.t = float(t)
         self.own = own
         self.nbrs = list(nbrs)
         self.times = times
         self.own_hist = own_hist
         self.active = None
+        self.rows = rows
 
 
 def evaluate_vectorized(spec: DriftSpec, ctx: EvalContext, d: int):
-    """Evaluate for all replicas at once; result broadcasts to (R, d)."""
+    """Evaluate for all replicas at once; result broadcasts to (..., R, d)."""
     val = np.asarray(spec.ast.ev(ctx), dtype=float)
-    r = ctx.own.shape[0]
-    if val.shape == (r, d):
+    shape = ctx.own.shape[:-1] + (d,)
+    if val.shape == shape:
         return val
-    return np.broadcast_to(val, (r, d))
+    return np.broadcast_to(val, shape)
 
 
 def eval_drift(spec, t, own_history, neighbor_histories=(), vertex=None):

@@ -3,7 +3,11 @@
 Each vertex carries its own counter-based noise stream keyed by
 (seed, step, vertex label), so ensembles are bit-reproducible and two
 graphs sharing a vertex see identical noise on it: truncation levels can
-be compared with common random numbers.
+be compared with common random numbers.  A run builds each vertex's
+stream once and re-keys it to every step.  Vertices that share a drift
+spec, a diffusion object and a degree form a group, and each step evaluates
+the drift once per group; results are bitwise those of a vertex-by-vertex
+loop.
 
 Girsanov reweighting turns driftless reference ensembles into samples of
 the interacting law; the per-vertex log factors depend only on the vertex
@@ -166,14 +170,14 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-class _VertexPlan(NamedTuple):
-    """One vertex's coefficients and neighbours, resolved once per call."""
+class _Group(NamedTuple):
+    """Vertices that share a drift spec, a diffusion object and a degree."""
 
-    index: int
-    label: object
-    spec: DriftSpec | None  # None for a driftless vertex
+    spec: DriftSpec | None  # None for driftless vertices
     sigma: object
-    nbrs: tuple  # neighbour indices, in graph order
+    rows: np.ndarray  # vertex indices, in graph order
+    nbrs: np.ndarray  # (n, degree) neighbour indices, in graph order
+    labels: tuple
 
 
 def _plan(g, drift, diffusion, vertices) -> list:
@@ -187,43 +191,46 @@ def _plan(g, drift, diffusion, vertices) -> list:
         diffusion = DiffusionTable.uniform(diffusion)
     elif not isinstance(diffusion, DiffusionTable):
         raise TypeError("diffusion must be a ConstantDiffusion, TanhDiagonalDiffusion, or DiffusionTable")
-    plan = []
+    groups = {}
     for v in vertices:
         spec = drift.for_vertex(v)
         if spec is not None and spec.is_zero:
             spec = None
-        nbrs = tuple(g.index(u) for u in g.neighbors(v))
-        plan.append(_VertexPlan(g.index(v), v, spec, diffusion.for_vertex(v), nbrs))
-    return plan
+        sigma = diffusion.for_vertex(v)
+        nbrs = [g.index(u) for u in g.neighbors(v)]
+        # keyed by identity: specs that compare equal may differ in the sign of a zero
+        key = (id(spec), id(sigma), len(nbrs))
+        groups.setdefault(key, (spec, sigma, []))[2].append((g.index(v), nbrs, v))
+    return [
+        _Group(spec, sigma, np.array([m[0] for m in ms]), np.array([m[1] for m in ms], dtype=np.intp), tuple(m[2] for m in ms))
+        for spec, sigma, ms in groups.values()
+    ]
 
 
-def _drift_at(p: _VertexPlan, t, state, times, hist, d) -> np.ndarray:
-    """Drift of a planned vertex for all replicas at time t, from the states
-    (R, V, d) at t and the paths ``hist`` over the grid points ``times`` <= t."""
-    ctx = EvalContext(
-        t,
-        state[:, p.index, :],
-        [state[:, u, :] for u in p.nbrs],
-        times=times,
-        own_hist=hist[:, p.index, : len(times), :],
-    )
-    return evaluate_vectorized(p.spec, ctx, d)
+def _drift_at(grp: _Group, t, own, state, nbrs, times, hist, d) -> np.ndarray:
+    """Drift of a group for all replicas at time t: ``own`` holds the group's
+    states (n, R, d), ``state[nbrs]`` its neighbours' states, and ``hist`` the
+    paths (V, R, m, d) over the grid points ``times`` <= t, in graph order."""
+    ctx = EvalContext(t, own, list(state[nbrs.T]), times=times, own_hist=hist, rows=grp.rows)
+    return evaluate_vectorized(grp.spec, ctx, d)
 
 
 def _drift_along(ens: PathEnsemble, drift, diffusion, vertices, n_steps):
-    """Yield (v, sigma, k, x, b) along the recorded paths, vertex by vertex.
+    """Yield (group, k, x, b) along the recorded paths, one record per
+    (group, step).
 
-    x is the state of v at grid index k and b its drift there, for
-    k < n_steps; driftless vertices are skipped.
+    x (n, R, d) is the state of the group's vertices at grid index k and b
+    their drift there, for k < n_steps; driftless groups are skipped.
     """
     grid = ens.grid
-    for p in _plan(ens.graph, drift, diffusion, vertices):
-        if p.spec is None:
+    hist = ens.values.swapaxes(0, 1)
+    for grp in _plan(ens.graph, drift, diffusion, dict.fromkeys(vertices)):
+        if grp.spec is None:
             continue
         for k in range(n_steps):
-            state = ens.values[:, :, k, :]
-            b = _drift_at(p, grid[k], state, grid[: k + 1], ens.values, ens.dim)
-            yield p.label, p.sigma, k, state[:, p.index, :], b
+            state = hist[:, :, k, :]
+            x = state[grp.rows]
+            yield grp, k, x, _drift_at(grp, grid[k], x, state, grp.nbrs, grid[: k + 1], hist[:, :, : k + 1, :], ens.dim)
 
 
 def _first_bad(cur, labels, t):
@@ -239,48 +246,59 @@ def _run(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps, measure):
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     plan = _plan(g, drift, diffusion, g.vertices)
-    if substeps > 1 and any(p.spec is not None and p.spec.uses_history for p in plan):
+    if substeps > 1 and any(grp.spec is not None and grp.spec.uses_history for grp in plan):
         raise ValueError("history-dependent drifts require substeps=1")
     d = plan[0].sigma.d
-    if any(p.sigma.d != d for p in plan):
+    if any(grp.sigma.d != d for grp in plan):
         raise ValueError("all vertices must share one state dimension")
 
-    nt = grid.size
-    values = np.empty((n_replicas, len(plan), nt, d))
+    values = np.empty((n_replicas, len(g), grid.size, d))
     values[:, :, 0, :] = mu0.sample(n_replicas, g, seed, d)
     if not np.all(np.isfinite(values[:, :, 0, :])):
         raise _first_bad(values[:, :, 0, :], g.vertices, 0.0)
 
-    cur = values[:, :, 0, :].copy()
     # overflow during stepping is handled by the non-finite check below,
     # reported as a SimulationError rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step_all(g, grid, values, cur, plan, n_replicas, d, substeps, seed, measure)
+        _step_all(g, grid, values, plan, substeps, seed)
+    scheme = {"kind": "euler_maruyama", "substeps": int(substeps)}
+    return PathEnsemble(g, grid, values, int(seed), scheme, measure)
 
 
-def _step_all(g, grid, values, cur, plan, n_replicas, d, substeps, seed, measure):
-    nt = grid.size
-    for k in range(nt - 1):
+def _step_all(g, grid, values, plan, substeps, seed):
+    """Fill values[:, :, 1:] by Euler steps.  The working state is (V, R, d)
+    with each group one block of rows, so a group's own state, noise and new
+    state are slices; only the neighbour reads gather."""
+    order = np.concatenate([grp.rows for grp in plan])
+    block = np.argsort(order)
+    bounds = np.cumsum([0] + [grp.rows.size for grp in plan])
+    blocks = [(grp, slice(lo, hi), block[grp.nbrs]) for grp, lo, hi in zip(plan, bounds, bounds[1:])]
+    hist = values.swapaxes(0, 1)
+    cur = np.ascontiguousarray(hist[order, :, 0, :])
+    z = np.empty_like(cur)
+    streams = [noise_stream(seed, 0, v) for grp in plan for v in grp.labels]
+    states = [gen.bit_generator.state for gen in streams]
+    for k in range(grid.size - 1):
         h = (grid[k + 1] - grid[k]) / substeps
         sqrt_h = np.sqrt(h)
         for j in range(substeps):
             t_sub = grid[k] + j * h
             step = k * substeps + j
+            for i, (gen, state) in enumerate(zip(streams, states)):
+                state["state"]["counter"][1] = step
+                gen.bit_generator.state = state
+                gen.standard_normal(out=z[i])
             new = np.empty_like(cur)
-            for p in plan:
-                x = cur[:, p.index, :]
-                z = noise_stream(seed, step, p.label).standard_normal((n_replicas, d))
-                dx = p.sigma.noise_increment(x, z * sqrt_h)
-                if p.spec is not None:
-                    dx = dx + _drift_at(p, t_sub, cur, grid[: k + 1], values, d) * h
-                new[:, p.index, :] = x + dx
+            for grp, rows, nbrs in blocks:
+                x = cur[rows]
+                dx = grp.sigma.noise_increment(x, z[rows] * sqrt_h)
+                if grp.spec is not None:
+                    dx = dx + _drift_at(grp, t_sub, x, cur, nbrs, grid[: k + 1], hist[:, :, : k + 1, :], x.shape[-1]) * h
+                new[rows] = x + dx
             cur = new
-        if not np.all(np.isfinite(cur)):
-            raise _first_bad(cur, g.vertices, grid[k + 1])
-        values[:, :, k + 1, :] = cur
-
-    scheme = {"kind": "euler_maruyama", "substeps": int(substeps)}
-    return PathEnsemble(g, grid, values, int(seed), scheme, measure)
+        hist[order, :, k + 1, :] = cur
+        if not np.all(np.isfinite(values[:, :, k + 1, :])):
+            raise _first_bad(values[:, :, k + 1, :], g.vertices, grid[k + 1])
 
 
 def simulate(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps=1) -> PathEnsemble:
@@ -325,22 +343,21 @@ def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
         raise ValueError("weights need the full path: simulate with substeps=1")
     g = ens.graph
     grid = ens.grid
-    r = ens.n_replicas
-    m = {v: np.zeros(r) for v in g.vertices}
-    qv = {v: np.zeros(r) for v in g.vertices}
-    for v, sigma, k, x, b in _drift_along(ens, drift, diffusion, g.vertices, grid.size - 1):
-        dx = ens.values[:, g.index(v), k + 1, :] - x
-        m[v] = m[v] + np.sum(sigma.sigma_sigmaT_inv_vec(x, b) * dx, axis=1)
-        s = sigma.sigma_inv_vec(x, b)
-        qv[v] = qv[v] + np.sum(s * s, axis=1) * (grid[k + 1] - grid[k])
-    log_w = np.zeros(r)
-    for v in g.vertices:
-        log_w = log_w + (m[v] - 0.5 * qv[v])
+    m = np.zeros((len(g), ens.n_replicas))
+    qv = np.zeros_like(m)
+    for grp, k, x, b in _drift_along(ens, drift, diffusion, g.vertices, grid.size - 1):
+        dx = ens.values[:, grp.rows, k + 1, :].swapaxes(0, 1) - x
+        m[grp.rows] += np.sum(grp.sigma.sigma_sigmaT_inv_vec(x, b) * dx, axis=-1)
+        s = grp.sigma.sigma_inv_vec(x, b)
+        qv[grp.rows] += np.sum(s * s, axis=-1) * (grid[k + 1] - grid[k])
+    log_w = np.zeros(ens.n_replicas)
+    for i in range(len(g)):
+        log_w = log_w + (m[i] - 0.5 * qv[i])
     weights = np.exp(log_w)
     if not np.all(np.isfinite(weights)):
         bad = int(np.flatnonzero(~np.isfinite(weights))[0])
         raise SimulationError(bad, None, float(grid[-1]))
-    return GirsanovWeights(weights, m, qv, float(grid[-1]))
+    return GirsanovWeights(weights, dict(zip(g.vertices, m)), dict(zip(g.vertices, qv)), float(grid[-1]))
 
 
 def energy_distance(x: np.ndarray, y: np.ndarray, max_points: int | None = _ENERGY_POINTS) -> float:
@@ -459,10 +476,15 @@ def entropy_bound_estimate(ens: PathEnsemble, drift, diffusion, vertices, t) -> 
             raise ValueError(f"vertices {missing!r} not in the ensemble")
         vs = list(vertices)
     grid = ens.grid
+    means = np.zeros((len(ens.graph), kt))  # E|sigma^-1 b|^2 per vertex and step
+    for grp, k, x, b in _drift_along(ens, drift, diffusion, vs, kt):
+        s = grp.sigma.sigma_inv_vec(x, b)
+        means[grp.rows, k] = np.mean(np.sum(s * s, axis=-1), axis=-1)
+    # (vertex, step) order, repeats included; driftless rows add +0.0
     total = 0.0
-    for _, sigma, k, x, b in _drift_along(ens, drift, diffusion, vs, kt):
-        s = sigma.sigma_inv_vec(x, b)
-        total += float(np.mean(np.sum(s * s, axis=1))) * (grid[k + 1] - grid[k])
+    for v in vs:
+        for k, mean in enumerate(means[ens.graph.index(v)]):
+            total += float(mean) * (grid[k + 1] - grid[k])
     return 0.5 * total
 
 

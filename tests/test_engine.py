@@ -3,8 +3,11 @@ import pytest
 
 from netdiff.coefficients import (
     ConstantDiffusion,
+    DiffusionTable,
     DriftTable,
+    EvalContext,
     TanhDiagonalDiffusion,
+    evaluate_vectorized,
     parse_drift,
 )
 from netdiff.engine import (
@@ -15,6 +18,7 @@ from netdiff.engine import (
     entropy_bound_estimate,
     girsanov_weights,
     load_ensemble,
+    noise_stream,
     save_ensemble,
     simulate,
     simulate_driftless,
@@ -82,6 +86,104 @@ def test_nan_explosion_is_reported():
         simulate(g, parse_drift("x * x"), UNIT, PointMass(10.0), np.linspace(0, 12, 13), 8, seed=5)
     assert err.value.vertex == 1
     assert err.value.time > 0
+
+
+def reference_values(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps=1):
+    """The vertex-by-vertex Euler stepper that the grouped stepper replaced."""
+    d = diffusion.for_vertex(g.vertices[0]).d
+    values = np.empty((n_replicas, len(g), grid.size, d))
+    values[:, :, 0, :] = mu0.sample(n_replicas, g, seed, d)
+    cur = values[:, :, 0, :].copy()
+    for k in range(grid.size - 1):
+        h = (grid[k + 1] - grid[k]) / substeps
+        for j in range(substeps):
+            new = np.empty_like(cur)
+            for i, v in enumerate(g.vertices):
+                x = cur[:, i, :]
+                z = noise_stream(seed, k * substeps + j, v).standard_normal((n_replicas, d))
+                dx = diffusion.for_vertex(v).noise_increment(x, z * np.sqrt(h))
+                spec = drift.for_vertex(v)
+                if spec is not None and not spec.is_zero:
+                    nbrs = [cur[:, g.index(u), :] for u in g.neighbors(v)]
+                    ctx = EvalContext(grid[k] + j * h, x, nbrs, times=grid[: k + 1], own_hist=values[:, i, : k + 1, :])
+                    dx = dx + evaluate_vectorized(spec, ctx, d) * h
+                new[:, i, :] = x + dx
+            cur = new
+        values[:, :, k + 1, :] = cur
+    return values
+
+
+def reference_log_factor_parts(ens, drift, diffusion):
+    """Per-vertex (M_v, [M_v]) with the drift evaluated one vertex at a time."""
+    g, grid, values = ens.graph, ens.grid, ens.values
+    parts = {}
+    for i, v in enumerate(g.vertices):
+        spec, sigma = drift.for_vertex(v), diffusion.for_vertex(v)
+        m = qv = np.zeros(ens.n_replicas)
+        for k in range(grid.size - 1 if spec is not None and not spec.is_zero else 0):
+            state = values[:, :, k, :]
+            x = state[:, i, :]
+            nbrs = [state[:, g.index(u), :] for u in g.neighbors(v)]
+            ctx = EvalContext(grid[k], x, nbrs, times=grid[: k + 1], own_hist=values[:, i, : k + 1, :])
+            b = evaluate_vectorized(spec, ctx, ens.dim)
+            m = m + np.sum(sigma.sigma_sigmaT_inv_vec(x, b) * (values[:, i, k + 1, :] - x), axis=1)
+            s = sigma.sigma_inv_vec(x, b)
+            qv = qv + np.sum(s * s, axis=1) * (grid[k + 1] - grid[k])
+        parts[v] = (m, qv)
+    return parts
+
+
+def test_grouped_stepper_matches_the_vertex_loop():
+    rng = np.random.default_rng(8)
+    texts = [
+        "nbr_avg(tanh(y)) - x",
+        "nbr_sum(sin(y)) - runavg(x, t)",
+        "lag(x, 0.1) - 2*x + cos(t)",
+        "clamp(-1, 1)(nbr_avg(y*y)) - runmax_norm(x)",
+        "0.5*(nbr_sum(y) - 3*x) - runavg(x, 0.3)",
+        "0",
+    ]
+    specs = [parse_drift(text) for text in texts] + [None]
+    grid = np.linspace(0.0, 1.0, 25)
+    diffusions = {
+        1: [UNIT, ConstantDiffusion([[0.6]]), TanhDiagonalDiffusion([1.0], [0.4])],
+        2: [ConstantDiffusion([[1.0, 0.3], [0.0, 0.8]]), TanhDiagonalDiffusion([1.0, 0.8], [0.2, -0.3])],
+    }
+    for d, diffs in diffusions.items():
+        for default in specs[:4]:
+            base = random_graph(rng, int(rng.integers(6, 12)), p=0.3)
+            g = Graph(base.vertices + (99,), base.edges())  # 99 is isolated
+            drift = DriftTable(default, {v: specs[rng.integers(len(specs))] for v in g.vertices if rng.random() < 0.5})
+            diffusion = DiffusionTable(diffs[0], {v: diffs[rng.integers(len(diffs))] for v in g.vertices if rng.random() < 0.4})
+            seed = int(rng.integers(1000))
+            ens = simulate(g, drift, diffusion, NormalInitial(0, 1), grid, 20, seed)
+            assert np.array_equal(ens.values, reference_values(g, drift, diffusion, NormalInitial(0, 1), grid, 20, seed))
+            if d == 1:
+                memoryless = DriftTable(specs[0], {v: specs[0] if rng.random() < 0.5 else specs[5] for v in g.vertices})
+                ens = simulate(g, memoryless, diffusion, NormalInitial(0, 1), grid[:9], 20, seed, substeps=3)
+                want = reference_values(g, memoryless, diffusion, NormalInitial(0, 1), grid[:9], 20, seed, substeps=3)
+                assert np.array_equal(ens.values, want)
+            ref = simulate_driftless(g, diffusion, NormalInitial(0, 1), grid, 20, seed)
+            w = girsanov_weights(ref, drift, diffusion)
+            for v, (m, qv) in reference_log_factor_parts(ref, drift, diffusion).items():
+                assert np.array_equal(w.m[v], m) and np.array_equal(w.quadratic_variation[v], qv)
+
+
+def test_explosion_reports_the_vertex_replica_and_time():
+    # only the centre explodes; it sits in its own block, away from its
+    # position in graph order
+    g = grid_graph(3, 3)
+    drift = DriftTable(parse_drift("-x"), {(1, 1): parse_drift("x * x")})
+    grid = np.linspace(0.0, 3.0, 31)
+    mu0 = NormalInitial(0.5, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_values(g, drift, DiffusionTable.uniform(UNIT), mu0, grid, 40, 3)
+    k = int(np.flatnonzero(~np.isfinite(want).all(axis=(0, 1, 3)))[0])
+    r, vi = np.argwhere(~np.isfinite(want[:, :, k, 0]))[0]
+    assert g.vertices[vi] == (1, 1) and r > 0
+    with pytest.raises(SimulationError) as err:
+        simulate(g, drift, UNIT, mu0, grid, 40, 3)
+    assert (err.value.replica, err.value.vertex, err.value.time) == (r, (1, 1), grid[k])
 
 
 def test_bare_number_diffusion_is_rejected_up_front():
