@@ -129,8 +129,13 @@ class _History(_Own):
         upto = int(np.searchsorted(ctx.times, ctx.t, side="right"))
         if upto == 0:
             raise EvalError("history does not cover the evaluation time")
-        val = self.read(ctx.t, ctx.times[:upto], ctx.own_hist[..., :upto, :])
-        return val if ctx.rows is None else val[ctx.rows]
+        args = ctx.t, ctx.times[:upto], ctx.own_hist[..., :upto, :]
+        return self.read(*args) if ctx.rows is None else self.take(*args, ctx.rows)
+
+    def take(self, t, times, hist, rows):
+        """``read`` for ``rows`` of a shared history, reduced over their span only."""
+        lo = rows.min()
+        return self.read(t, times, hist[lo : rows.max() + 1])[rows - lo]
 
 
 @dataclass(frozen=True)
@@ -407,6 +412,10 @@ class RunMaxNorm(_History):
     def read(self, t, times, hist):
         norms = np.sqrt((hist**2).sum(axis=-1))
         return norms.max(axis=-1, keepdims=True)
+
+    def take(self, t, times, hist, rows):
+        # row by row: squaring the shared history at once would copy all of it
+        return np.stack([self.read(t, times, hist[i]) for i in rows])
 
     def ser(self):
         return "runmax_norm(x)", _ATOM
@@ -729,8 +738,8 @@ class EvalContext:
     vertex, (n, R, d) for n vertices; histories are (..., m, d), time at axis
     -2, aligned with ``times`` (grid points ≤ t, plus possibly later ones,
     which are masked out so evaluation never reads past t).  With ``rows``
-    set, ``own_hist`` is the shared (V, R, m, d) history: a history node
-    reduces over time on it, then takes ``rows``, and never copies it.
+    set, ``own_hist`` is the shared (V, R, m, d) history; a history node
+    reduces over time on the span of ``rows`` only, then takes them.
     """
 
     __slots__ = ("t", "times", "own", "own_hist", "nbrs", "active", "rows")
@@ -749,9 +758,7 @@ def evaluate_vectorized(spec: DriftSpec, ctx: EvalContext, d: int):
     """Evaluate for all replicas at once; result broadcasts to (..., R, d)."""
     val = np.asarray(spec.ast.ev(ctx), dtype=float)
     shape = ctx.own.shape[:-1] + (d,)
-    if val.shape == shape:
-        return val
-    return np.broadcast_to(val, shape)
+    return val if val.shape == shape else np.broadcast_to(val, shape)
 
 
 def eval_drift(spec, t, own_history, neighbor_histories=(), vertex=None):

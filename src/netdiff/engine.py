@@ -217,11 +217,8 @@ def _drift_at(grp: _Group, t, own, state, nbrs, times, hist, d) -> np.ndarray:
 
 def _drift_along(ens: PathEnsemble, drift, diffusion, vertices, n_steps):
     """Yield (group, k, x, b) along the recorded paths, one record per
-    (group, step).
-
-    x (n, R, d) is the state of the group's vertices at grid index k and b
-    their drift there, for k < n_steps; driftless groups are skipped.
-    """
+    (group, step): x (n, R, d) holds the group's states at grid index k and
+    b their drift there, for k < n_steps; driftless groups are skipped."""
     grid = ens.grid
     hist = ens.values.swapaxes(0, 1)
     for grp in _plan(ens.graph, drift, diffusion, dict.fromkeys(vertices)):
@@ -345,8 +342,9 @@ def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
     grid = ens.grid
     m = np.zeros((len(g), ens.n_replicas))
     qv = np.zeros_like(m)
+    hist = ens.values.swapaxes(0, 1)
     for grp, k, x, b in _drift_along(ens, drift, diffusion, g.vertices, grid.size - 1):
-        dx = ens.values[:, grp.rows, k + 1, :].swapaxes(0, 1) - x
+        dx = hist[grp.rows, :, k + 1, :] - x
         m[grp.rows] += np.sum(grp.sigma.sigma_sigmaT_inv_vec(x, b) * dx, axis=-1)
         s = grp.sigma.sigma_inv_vec(x, b)
         qv[grp.rows] += np.sum(s * s, axis=-1) * (grid[k + 1] - grid[k])
@@ -476,14 +474,14 @@ def entropy_bound_estimate(ens: PathEnsemble, drift, diffusion, vertices, t) -> 
             raise ValueError(f"vertices {missing!r} not in the ensemble")
         vs = list(vertices)
     grid = ens.grid
-    means = np.zeros((len(ens.graph), kt))  # E|sigma^-1 b|^2 per vertex and step
+    means = {}  # vertex index -> E|sigma^-1 b|^2 at each step
     for grp, k, x, b in _drift_along(ens, drift, diffusion, vs, kt):
         s = grp.sigma.sigma_inv_vec(x, b)
-        means[grp.rows, k] = np.mean(np.sum(s * s, axis=-1), axis=-1)
-    # (vertex, step) order, repeats included; driftless rows add +0.0
+        for i, mean in zip(grp.rows, np.mean(np.sum(s * s, axis=-1), axis=-1)):
+            means.setdefault(i, []).append(mean)
     total = 0.0
-    for v in vs:
-        for k, mean in enumerate(means[ens.graph.index(v)]):
+    for v in vs:  # the (vertex, step) order of a vertex loop, repeats included
+        for k, mean in enumerate(means.get(ens.graph.index(v), ())):
             total += float(mean) * (grid[k + 1] - grid[k])
     return 0.5 * total
 

@@ -113,24 +113,45 @@ def reference_values(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps=
     return values
 
 
+def reference_drift(ens, spec, i, k):
+    """Drift of vertex i at grid index k, evaluated for that vertex alone."""
+    g, values = ens.graph, ens.values
+    state = values[:, :, k, :]
+    nbrs = [state[:, g.index(u), :] for u in g.neighbors(g.vertices[i])]
+    ctx = EvalContext(ens.grid[k], state[:, i, :], nbrs, times=ens.grid[: k + 1], own_hist=values[:, i, : k + 1, :])
+    return evaluate_vectorized(spec, ctx, ens.dim)
+
+
+def drift_steps(spec, n):
+    return range(n if spec is not None and not spec.is_zero else 0)
+
+
 def reference_log_factor_parts(ens, drift, diffusion):
-    """Per-vertex (M_v, [M_v]) with the drift evaluated one vertex at a time."""
-    g, grid, values = ens.graph, ens.grid, ens.values
+    """Per-vertex (M_v, [M_v]), vertex by vertex."""
+    grid, values = ens.grid, ens.values
     parts = {}
-    for i, v in enumerate(g.vertices):
+    for i, v in enumerate(ens.graph.vertices):
         spec, sigma = drift.for_vertex(v), diffusion.for_vertex(v)
         m = qv = np.zeros(ens.n_replicas)
-        for k in range(grid.size - 1 if spec is not None and not spec.is_zero else 0):
-            state = values[:, :, k, :]
-            x = state[:, i, :]
-            nbrs = [state[:, g.index(u), :] for u in g.neighbors(v)]
-            ctx = EvalContext(grid[k], x, nbrs, times=grid[: k + 1], own_hist=values[:, i, : k + 1, :])
-            b = evaluate_vectorized(spec, ctx, ens.dim)
+        for k in drift_steps(spec, grid.size - 1):
+            x = values[:, i, k, :]
+            b = reference_drift(ens, spec, i, k)
             m = m + np.sum(sigma.sigma_sigmaT_inv_vec(x, b) * (values[:, i, k + 1, :] - x), axis=1)
             s = sigma.sigma_inv_vec(x, b)
             qv = qv + np.sum(s * s, axis=1) * (grid[k + 1] - grid[k])
         parts[v] = (m, qv)
     return parts
+
+
+def reference_entropy_bound(ens, drift, diffusion, vertices, kt):
+    """The entropy bound summed vertex by vertex, then step by step."""
+    total = 0.0
+    for v in vertices:
+        spec, sigma, i = drift.for_vertex(v), diffusion.for_vertex(v), ens.graph.index(v)
+        for k in drift_steps(spec, kt):
+            s = sigma.sigma_inv_vec(ens.values[:, i, k, :], reference_drift(ens, spec, i, k))
+            total += float(np.mean(np.sum(s * s, axis=1))) * (ens.grid[k + 1] - ens.grid[k])
+    return 0.5 * total
 
 
 def test_grouped_stepper_matches_the_vertex_loop():
@@ -158,6 +179,10 @@ def test_grouped_stepper_matches_the_vertex_loop():
             seed = int(rng.integers(1000))
             ens = simulate(g, drift, diffusion, NormalInitial(0, 1), grid, 20, seed)
             assert np.array_equal(ens.values, reference_values(g, drift, diffusion, NormalInitial(0, 1), grid, 20, seed))
+            # shuffled, so a group's rows are out of graph order, and one repeat
+            vs = [g.vertices[i] for i in rng.permutation(len(g))] + [g.vertices[0]]
+            bound = entropy_bound_estimate(ens, drift, diffusion, vs, grid[12])
+            assert bound == reference_entropy_bound(ens, drift, diffusion, vs, 12)
             if d == 1:
                 memoryless = DriftTable(specs[0], {v: specs[0] if rng.random() < 0.5 else specs[5] for v in g.vertices})
                 ens = simulate(g, memoryless, diffusion, NormalInitial(0, 1), grid[:9], 20, seed, substeps=3)
@@ -167,6 +192,14 @@ def test_grouped_stepper_matches_the_vertex_loop():
             w = girsanov_weights(ref, drift, diffusion)
             for v, (m, qv) in reference_log_factor_parts(ref, drift, diffusion).items():
                 assert np.array_equal(w.m[v], m) and np.array_equal(w.quadratic_variation[v], qv)
+    # whole degree groups of history drifts, their rows out of graph order
+    g = grid_graph(4, 4)
+    diffusion = DiffusionTable.uniform(UNIT)
+    for spec in specs[1:4]:
+        ens = simulate(g, DriftTable(spec), diffusion, NormalInitial(0, 1), grid, 20, 5)
+        vs = [g.vertices[i] for i in rng.permutation(len(g))]
+        bound = entropy_bound_estimate(ens, DriftTable(spec), diffusion, vs, grid[12])
+        assert bound == reference_entropy_bound(ens, DriftTable(spec), diffusion, vs, 12)
 
 
 def test_explosion_reports_the_vertex_replica_and_time():
