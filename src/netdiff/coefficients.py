@@ -737,10 +737,9 @@ class EvalContext:
     Leading axes are batch axes: own and neighbor values are (R, d) for one
     vertex, (n, R, d) for n vertices; histories are (..., m, d), time at axis
     -2, aligned with ``times`` (grid points ≤ t, plus possibly later ones,
-    which are masked out so evaluation never reads past t).  With ``rows``
-    set, ``own_hist`` is the shared (V, R, m, d) history; a history node
-    reduces over time on the span of ``rows`` only, then takes them.
-    """
+    which are masked out so evaluation never reads past t).  With ``rows``,
+    ``own_hist`` is the shared (V, R, m, d) history, reduced over time on the
+    span of ``rows`` only before they are taken."""
 
     __slots__ = ("t", "times", "own", "own_hist", "nbrs", "active", "rows")
 

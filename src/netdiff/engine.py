@@ -6,8 +6,7 @@ graphs sharing a vertex see identical noise on it: truncation levels can
 be compared with common random numbers.  A run builds each vertex's
 stream once and re-keys it to every step.  Vertices that share a drift
 spec, a diffusion object and a degree form a group, and each step evaluates
-the drift once per group; results are bitwise those of a vertex-by-vertex
-loop.
+the drift once per group, bitwise as a vertex-by-vertex loop would.
 
 Girsanov reweighting turns driftless reference ensembles into samples of
 the interacting law; the per-vertex log factors depend only on the vertex
@@ -207,11 +206,11 @@ def _plan(g, drift, diffusion, vertices) -> list:
     ]
 
 
-def _drift_at(grp: _Group, t, own, state, nbrs, times, hist, d) -> np.ndarray:
+def _drift_at(grp: _Group, t, own, nbrs, times, hist, d) -> np.ndarray:
     """Drift of a group for all replicas at time t: ``own`` holds the group's
-    states (n, R, d), ``state[nbrs]`` its neighbours' states, and ``hist`` the
-    paths (V, R, m, d) over the grid points ``times`` <= t, in graph order."""
-    ctx = EvalContext(t, own, list(state[nbrs.T]), times=times, own_hist=hist, rows=grp.rows)
+    states (n, R, d), ``nbrs`` its neighbours' (degree, n, R, d), and ``hist``
+    the paths (V, R, m, d) over the grid points ``times`` <= t, in graph order."""
+    ctx = EvalContext(t, own, list(nbrs), times=times, own_hist=hist, rows=grp.rows)
     return evaluate_vectorized(grp.spec, ctx, d)
 
 
@@ -227,7 +226,7 @@ def _drift_along(ens: PathEnsemble, drift, diffusion, vertices, n_steps):
         for k in range(n_steps):
             state = hist[:, :, k, :]
             x = state[grp.rows]
-            yield grp, k, x, _drift_at(grp, grid[k], x, state, grp.nbrs, grid[: k + 1], hist[:, :, : k + 1, :], ens.dim)
+            yield grp, k, x, _drift_at(grp, grid[k], x, state[grp.nbrs.T], grid[: k + 1], hist[:, :, : k + 1, :], ens.dim)
 
 
 def _first_bad(cur, labels, t):
@@ -263,16 +262,18 @@ def _run(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps, measure):
 
 
 def _step_all(g, grid, values, plan, substeps, seed):
-    """Fill values[:, :, 1:] by Euler steps.  The working state is (V, R, d)
-    with each group one block of rows, so a group's own state, noise and new
-    state are slices; only the neighbour reads gather."""
+    """Fill values[:, :, 1:] by Euler steps on a (V, R, d) state with each group
+    one block of rows: own state, noise and new state are slices."""
     order = np.concatenate([grp.rows for grp in plan])
     block = np.argsort(order)
     bounds = np.cumsum([0] + [grp.rows.size for grp in plan])
-    blocks = [(grp, slice(lo, hi), block[grp.nbrs]) for grp, lo, hi in zip(plan, bounds, bounds[1:])]
     hist = values.swapaxes(0, 1)
     cur = np.ascontiguousarray(hist[order, :, 0, :])
-    z = np.empty_like(cur)
+    z, new = np.empty_like(cur), np.empty_like(cur)
+    # the buffers are reused, because fresh multi-MB arrays cost page faults:
+    # noise, the next state, and each group's gathered neighbours
+    buffers = [np.empty((grp.nbrs.shape[1],) + cur[lo:hi].shape) for grp, lo, hi in zip(plan, bounds, bounds[1:])]
+    blocks = [(grp, slice(lo, hi), block[grp.nbrs.T], buf) for grp, lo, hi, buf in zip(plan, bounds, bounds[1:], buffers)]
     streams = [noise_stream(seed, 0, v) for grp in plan for v in grp.labels]
     states = [gen.bit_generator.state for gen in streams]
     for k in range(grid.size - 1):
@@ -285,14 +286,14 @@ def _step_all(g, grid, values, plan, substeps, seed):
                 state["state"]["counter"][1] = step
                 gen.bit_generator.state = state
                 gen.standard_normal(out=z[i])
-            new = np.empty_like(cur)
-            for grp, rows, nbrs in blocks:
+            for grp, rows, nbrs, buf in blocks:
                 x = cur[rows]
-                dx = grp.sigma.noise_increment(x, z[rows] * sqrt_h)
+                dx = grp.sigma.noise_increment(x, np.multiply(z[rows], sqrt_h, out=z[rows]))
                 if grp.spec is not None:
-                    dx = dx + _drift_at(grp, t_sub, x, cur, nbrs, grid[: k + 1], hist[:, :, : k + 1, :], x.shape[-1]) * h
-                new[rows] = x + dx
-            cur = new
+                    np.take(cur, nbrs, axis=0, out=buf, mode="clip")
+                    dx += _drift_at(grp, t_sub, x, buf, grid[: k + 1], hist[:, :, : k + 1, :], x.shape[-1]) * h
+                np.add(x, dx, out=new[rows])
+            cur, new = new, cur
         hist[order, :, k + 1, :] = cur
         if not np.all(np.isfinite(values[:, :, k + 1, :])):
             raise _first_bad(values[:, :, k + 1, :], g.vertices, grid[k + 1])
