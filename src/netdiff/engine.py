@@ -215,18 +215,19 @@ def _drift_at(grp: _Group, t, own, nbrs, times, hist, d) -> np.ndarray:
 
 
 def _drift_along(ens: PathEnsemble, drift, diffusion, vertices, n_steps):
-    """Yield (group, k, x, b) along the recorded paths, one record per
-    (group, step): x (n, R, d) holds the group's states at grid index k and
-    b their drift there, for k < n_steps; driftless groups are skipped."""
+    """Yield (group, k, x, after, b) along the recorded paths, one record per
+    (step, group) with drift, for k < n_steps: x (n, R, d) holds the group's
+    states at grid index k, after (V, R, d) every state at k + 1, b the drift.
+    Each step's states are copied once, as reads gather from contiguous rows."""
     grid = ens.grid
     hist = ens.values.swapaxes(0, 1)
-    for grp in _plan(ens.graph, drift, diffusion, dict.fromkeys(vertices)):
-        if grp.spec is None:
-            continue
-        for k in range(n_steps):
-            state = hist[:, :, k, :]
+    plan = [grp for grp in _plan(ens.graph, drift, diffusion, dict.fromkeys(vertices)) if grp.spec is not None]
+    after = np.ascontiguousarray(hist[:, :, 0, :])
+    for k in range(n_steps):
+        state, after = after, np.ascontiguousarray(hist[:, :, k + 1, :])
+        for grp in plan:
             x = state[grp.rows]
-            yield grp, k, x, _drift_at(grp, grid[k], x, state[grp.nbrs.T], grid[: k + 1], hist[:, :, : k + 1, :], ens.dim)
+            yield grp, k, x, after, _drift_at(grp, grid[k], x, state[grp.nbrs.T], grid[: k + 1], hist[:, :, : k + 1, :], ens.dim)
 
 
 def _first_bad(cur, labels, t):
@@ -343,9 +344,8 @@ def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
     grid = ens.grid
     m = np.zeros((len(g), ens.n_replicas))
     qv = np.zeros_like(m)
-    hist = ens.values.swapaxes(0, 1)
-    for grp, k, x, b in _drift_along(ens, drift, diffusion, g.vertices, grid.size - 1):
-        dx = hist[grp.rows, :, k + 1, :] - x
+    for grp, k, x, after, b in _drift_along(ens, drift, diffusion, g.vertices, grid.size - 1):
+        dx = after[grp.rows] - x
         m[grp.rows] += np.sum(grp.sigma.sigma_sigmaT_inv_vec(x, b) * dx, axis=-1)
         s = grp.sigma.sigma_inv_vec(x, b)
         qv[grp.rows] += np.sum(s * s, axis=-1) * (grid[k + 1] - grid[k])
@@ -476,7 +476,7 @@ def entropy_bound_estimate(ens: PathEnsemble, drift, diffusion, vertices, t) -> 
         vs = list(vertices)
     grid = ens.grid
     means = {}  # vertex index -> E|sigma^-1 b|^2 at each step
-    for grp, k, x, b in _drift_along(ens, drift, diffusion, vs, kt):
+    for grp, k, x, _, b in _drift_along(ens, drift, diffusion, vs, kt):
         s = grp.sigma.sigma_inv_vec(x, b)
         for i, mean in zip(grp.rows, np.mean(np.sum(s * s, axis=-1), axis=-1)):
             means.setdefault(i, []).append(mean)
