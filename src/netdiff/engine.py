@@ -218,7 +218,7 @@ def _drift_along(ens: PathEnsemble, drift, diffusion, vertices, n_steps):
     """Yield (group, k, x, after, b) along the recorded paths, one record per
     (step, group) with drift, for k < n_steps: x (n, R, d) holds the group's
     states at grid index k, after (V, R, d) every state at k + 1, b the drift.
-    Each step's states are copied once, as reads gather from contiguous rows."""
+    Each step's states are copied once, so the groups gather contiguous rows."""
     grid = ens.grid
     hist = ens.values.swapaxes(0, 1)
     plan = [grp for grp in _plan(ens.graph, drift, diffusion, dict.fromkeys(vertices)) if grp.spec is not None]
