@@ -50,7 +50,13 @@ from netdiff.engine import (
     simulate_driftless,
     simulate_truncated,
 )
-from netdiff.gaussian import build_linear_system, path_covariance, path_precision_blocks
+from netdiff.gaussian import (
+    GaussianSystem,
+    build_linear_system,
+    covariance_at,
+    path_covariance,
+    path_precision_blocks,
+)
 from netdiff.graphs import Graph, _graph_to_json, grid_graph, path_graph, regular_tree, z_line
 from netdiff.independence import mrf_order_scan
 from netdiff.initials import NormalInitial, PointMass
@@ -142,6 +148,34 @@ def test_exact_route_digests():
     assert sha([b.relative for b in blocks]) == "9d17a09e95aa20545e59f30e4ba7e8362e8ce2cdc6af8a81e124a2fc3a2fabbb"
     reports = mrf_order_scan(g, stacked)
     assert sha([r.statistic for r in reports]) == "7a1dca2e558f2f9897b833b8030d4573dc5c87ca88a1f38ea4a6449ce48cca31"
+
+
+def test_exact_route_matrix_digests():
+    # both step laws on a symmetric and a non-symmetric drift, an uneven
+    # grid and a random initial law
+    sym = build_linear_system(grid_graph(2, 3), -4.5)
+    L = np.diag([-2.0, -2.5, -3.0, -1.5]) + np.diag([0.8, 0.3, 0.6], 1) + np.diag([0.2, 0.5, 0.1], -1)
+    nonsym = GaussianSystem(L, (0, 1, 2, 3))
+    assert sym.is_symmetric and not nonsym.is_symmetric
+    grid = np.linspace(0.0, 1.0, 5)
+    uneven = [0.0, 0.1, 0.35, 0.5, 0.9]
+    v0 = 0.5 * np.eye(6) + 0.1 * np.ones((6, 6))
+    got = {
+        "sym_euler": sha(path_covariance(sym, grid, "euler").matrix),
+        "sym_exact": sha(path_covariance(sym, grid, "exact").matrix),
+        "nonsym_exact": sha(path_covariance(nonsym, uneven, "exact").matrix),
+        "euler_initial": sha(path_covariance(sym, uneven, "euler", initial_cov=v0).matrix),
+        "cov_sym": sha(covariance_at(sym, 0.7).sigma),
+        "cov_nonsym": sha(covariance_at(nonsym, 0.7).sigma),
+    }
+    assert got == {
+        "sym_euler": "64024850fef261a24fad36a928e4bbd8ac79ad6c1757a218721d780ad19b57c0",
+        "sym_exact": "5d45a02370a04c8921eeb124b1ab8f74510e9514ce04c2b30056e6c3d5fe3abd",
+        "nonsym_exact": "126bd507c53000d93905dbf578357b014d91bb9a6cd51257f00d06664fa65134",
+        "euler_initial": "3e7998cb4a3053e267fb91db4d45459f78e1456f8ef61450bdccb16246d02ad5",
+        "cov_sym": "c194cc80cc20bdbaadd854bb9ed9f5b86ac8cc2348b36f970bb470ad1474c11a",
+        "cov_nonsym": "2e94968340288816b65c53f9080b179587288bb973bb8ed641c4d18beb2ccd09",
+    }
 
 
 def test_discrete_route_digests():
