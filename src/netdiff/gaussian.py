@@ -115,14 +115,17 @@ def _vanloan_cov(L: np.ndarray, t: float) -> np.ndarray:
     return 0.5 * (sigma + sigma.T)
 
 
-def covariance_at(sys: GaussianSystem, t: float, method: str = "auto") -> CovarianceResult:
-    """Covariance of X(t) from X(0)=0, computed in closed form or by quadrature."""
+def covariance_at(sys: GaussianSystem, t: float, method: str = "closed_form") -> CovarianceResult:
+    """Covariance of X(t) from X(0)=0, computed in closed form or by quadrature.
+
+    The closed form is the exact chain's noise covariance over one step of
+    length t, so it and `path_covariance(..., scheme="exact")` share one step
+    law.  Quadrature integrates e^{Ls} e^{L^T s} numerically.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if method not in ("auto", "closed_form", "quadrature"):
+    if method not in ("closed_form", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "closed_form"
     n = sys.n
     if t == 0:
         return CovarianceResult(np.zeros((n, n)), 0.0, method, sys.labels)
@@ -132,12 +135,8 @@ def covariance_at(sys: GaussianSystem, t: float, method: str = "auto") -> Covari
             return e @ e.T
         sigma, _ = quad_vec(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-13)
         sigma = 0.5 * (sigma + sigma.T)
-    elif sys.is_symmetric:
-        lam, u = np.linalg.eigh(sys.L)
-        sigma = (u * _phi(lam, t)) @ u.T
-        sigma = 0.5 * (sigma + sigma.T)
     else:
-        sigma = _vanloan_cov(sys.L, t)
+        sigma = _step_matrices(sys.L, t, "exact", sys.is_symmetric)[1]
     return CovarianceResult(sigma, float(t), method, sys.labels)
 
 
@@ -193,6 +192,10 @@ def conditional_covariance(cov: CovarianceResult, target: Sequence, given: Seque
 @dataclass(frozen=True)
 class StackedCovariance:
     """Covariance of the path vector (X_v(t_k))_{v,k}, vertex-major.
+
+    Row ``i * n_times + k`` is vertex ``labels[i]`` at ``times[k]``, so
+    `vertex_slice` picks one vertex's history; `path_covariance` assembles
+    the matrix in this layout directly.
 
     The initial grid point carries no randomness when started from a point
     mass, so `times` holds the grid without its first entry and the matrix
@@ -266,6 +269,9 @@ def path_covariance(
     over two-slice neighborhoods, so stacked-precision blocks vanish for
     vertex pairs at graph distance three or more; the exact scheme has a
     dense transition matrix and no such sparsity.
+
+    The second moments are written straight into the vertex-major layout of
+    `StackedCovariance`, one (n, n) block per pair of stored times.
     """
     grid = _check_grid(grid)
     if scheme not in ("euler", "exact"):
@@ -279,36 +285,20 @@ def path_covariance(
         if v0.shape != (n, n):
             raise ValueError("initial covariance has wrong shape")
 
-    # forward recursion for all second moments of the stored points
-    var = []            # var[k] = Cov(X_{k+1})
-    cross = {}          # cross[(k, l)] = Cov(X_{k+1}, X_{l+1}), k < l
-    v_prev = v0
-    fs = []
-    for k in range(m):
-        f, q = _step_matrices(sys.L, grid[k + 1] - grid[k], scheme, sys.is_symmetric)
-        fs.append(f)
-        v_next = f @ v_prev @ f.T + q
-        var.append(0.5 * (v_next + v_next.T))
-        v_prev = v_next
-    for k in range(m):
-        c = var[k]
+    # big[v, k, u, l] = Cov(X_v(t_{k+1}), X_u(t_{l+1})): the vertex-major layout
+    symmetric = sys.is_symmetric
+    steps = [_step_matrices(sys.L, dt, scheme, symmetric) for dt in np.diff(grid)]
+    big = np.zeros((n, m, n, m))
+    v = v0
+    for k, (f, q) in enumerate(steps):
+        v = f @ v @ f.T + q
+        c = 0.5 * (v + v.T)
+        big[:, k, :, k] = c
         for l in range(k + 1, m):
-            c = c @ fs[l].T
-            cross[(k, l)] = c
-
-    big = np.zeros((n * m, n * m))
-    for k in range(m):
-        big[k * n:(k + 1) * n, k * n:(k + 1) * n] = var[k]
-        for l in range(k + 1, m):
-            big[k * n:(k + 1) * n, l * n:(l + 1) * n] = cross[(k, l)]
-            big[l * n:(l + 1) * n, k * n:(k + 1) * n] = cross[(k, l)].T
-
-    # reorder from time-major to vertex-major
-    perm = np.empty(n * m, dtype=int)
-    for v in range(n):
-        for k in range(m):
-            perm[v * m + k] = k * n + v
-    big = big[np.ix_(perm, perm)]
+            c = c @ steps[l][0].T
+            big[:, k, :, l] = c
+            big[:, l, :, k] = c.T
+    big = big.reshape(n * m, n * m)
     return StackedCovariance(big, sys.labels, tuple(grid[1:]), scheme)
 
 
