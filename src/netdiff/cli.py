@@ -85,6 +85,23 @@ def _sorted_by_index(g, vertices):
     return tuple(sorted(vertices, key=g.index))
 
 
+def _ensemble_inputs(cfg, g):
+    """Drift, diffusion, initial law and replica count of a sampling command."""
+    drift = build_drift(cfg, g)
+    diff = build_diffusion(cfg)
+    init = build_initial(cfg, g)
+    replicas = cfg.get("replicas")
+    if replicas is None:
+        raise ConfigError("config has no replicas field")
+    return drift, diff, init, replicas
+
+
+def _linear_system(g, opts):
+    """The exact route's drift matrix: adjacency plus the shift of options.variant."""
+    shift = -2.0 if opts.get("variant", "standard") == "standard" else 0.0
+    return build_linear_system(g, shift)
+
+
 def cmd_graph(cfg, opts, run_dir):
     g = build_graph(cfg)
     report = {}
@@ -135,9 +152,7 @@ def cmd_graph(cfg, opts, run_dir):
 
 def cmd_gaussian(cfg, opts, run_dir):
     g = _require_finite(build_graph(cfg), "gaussian")
-    variant = opts.get("variant", "standard")
-    shift = -2.0 if variant == "standard" else 0.0
-    sys_ = build_linear_system(g, shift)
+    sys_ = _linear_system(g, opts)
     t = float(opts.get("t", 2.0))
     cov = covariance_at(sys_, t)
     prec = precision_at(sys_, t, tol=float(opts.get("precision_tol", 1e-6)))
@@ -145,7 +160,7 @@ def cmd_gaussian(cfg, opts, run_dir):
     (run_dir / "precision.csv").write_text(matrix_csv(prec.q, prec.labels), encoding="utf-8")
     (run_dir / "ci_edges.json").write_text(precision_edges_json(prec) + "\n", encoding="utf-8")
     lines = [
-        f"{variant} system on {len(cov.labels)} vertices at t={t}",
+        f"{sys_.variant} system on {len(cov.labels)} vertices at t={t}",
         f"covariance method: {cov.method}; precision edges: {len(prec.ci_edges)}",
     ]
     for i, spec in enumerate(opts.get("conditionals", []), start=1):
@@ -160,14 +175,8 @@ def cmd_gaussian(cfg, opts, run_dir):
 
 def cmd_simulate(cfg, opts, run_dir):
     g = _require_finite(build_graph(cfg), "simulate")
-    drift = build_drift(cfg, g)
-    diff = build_diffusion(cfg)
-    init = build_initial(cfg, g)
-    grid = build_grid(cfg)
-    replicas = cfg.get("replicas")
-    if replicas is None:
-        raise ConfigError("config has no replicas field")
-    ens = simulate(g, drift, diff, init, grid, replicas, cfg["seed"], substeps=opts.get("substeps", 1))
+    drift, diff, init, replicas = _ensemble_inputs(cfg, g)
+    ens = simulate(g, drift, diff, init, build_grid(cfg), replicas, cfg["seed"], substeps=opts.get("substeps", 1))
     (run_dir / "summary.csv").write_text(ensemble_summary_csv(ens), encoding="utf-8")
     if opts.get("save_paths", False):
         save_ensemble(run_dir / "paths.bin", ens)
@@ -180,16 +189,10 @@ def cmd_simulate(cfg, opts, run_dir):
 
 def cmd_girsanov_check(cfg, opts, run_dir):
     g = _require_finite(build_graph(cfg), "girsanov-check")
-    drift = build_drift(cfg, g)
-    diff = build_diffusion(cfg)
-    init = build_initial(cfg, g)
-    grid = build_grid(cfg)
-    replicas = cfg.get("replicas")
-    if replicas is None:
-        raise ConfigError("config has no replicas field")
+    drift, diff, init, replicas = _ensemble_inputs(cfg, g)
     if replicas < 2:
         raise ConfigError("girsanov-check needs at least two replicas for a standard error")
-    ens = simulate_driftless(g, diff, init, grid, replicas, cfg["seed"])
+    ens = simulate_driftless(g, diff, init, build_grid(cfg), replicas, cfg["seed"])
     w = girsanov_weights(ens, drift, diff)
     mean = float(w.weights.mean())
     se = float(w.weights.std(ddof=1) / np.sqrt(w.weights.size))
@@ -224,25 +227,12 @@ def cmd_ci_scan(cfg, opts, run_dir):
     if sets is not None:
         sets = [resolve_vertices(g, raw) for raw in sets]
     if mode == "exact":
-        shift = -2.0 if opts.get("variant", "standard") == "standard" else 0.0
-        sys_ = build_linear_system(g, shift)
-        source = path_covariance(sys_, grid, scheme=opts.get("scheme", "euler"))
+        source = path_covariance(_linear_system(g, opts), grid, scheme=opts.get("scheme", "euler"))
         reports = mrf_order_scan(g, source, orders=orders, sets=sets, tol=float(opts.get("tol", 1e-8)))
         trust = {"condition": source.condition}
     else:
-        replicas = cfg.get("replicas")
-        if replicas is None:
-            raise ConfigError("config has no replicas field")
-        ens = simulate(
-            g,
-            build_drift(cfg, g),
-            build_diffusion(cfg),
-            build_initial(cfg, g),
-            grid,
-            replicas,
-            cfg["seed"],
-            substeps=opts.get("substeps", 1),
-        )
+        drift, diff, init, replicas = _ensemble_inputs(cfg, g)
+        ens = simulate(g, drift, diff, init, grid, replicas, cfg["seed"], substeps=opts.get("substeps", 1))
         reports = mrf_order_scan(
             g,
             ens,
@@ -272,14 +262,9 @@ def cmd_approx(cfg, opts, run_dir):
     g = build_graph(cfg)
     if not isinstance(g, InfiniteGraph):
         raise ConfigError("approx needs the z_line graph")
-    drift = build_drift(cfg, g)
+    drift, diff, init, replicas = _ensemble_inputs(cfg, g)
     if drift.default is None:
         raise ConfigError("approx needs drift.default")
-    diff = build_diffusion(cfg)
-    init = build_initial(cfg, g)
-    replicas = cfg.get("replicas")
-    if replicas is None:
-        raise ConfigError("config has no replicas field")
     window = sorted(opts["window"])
     levels = sorted(opts.get("levels", [4, 6, 8]))
     try:
