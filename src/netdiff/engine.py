@@ -197,8 +197,7 @@ def _plan(g, drift, diffusion, vertices) -> list:
             spec = None
         sigma = diffusion.for_vertex(v)
         nbrs = [g.index(u) for u in g.neighbors(v)]
-        # keyed by identity: specs that compare equal may differ in the sign of a zero
-        key = (id(spec), id(sigma), len(nbrs))
+        key = (None if spec is None else spec.text, id(sigma), len(nbrs))
         groups.setdefault(key, (spec, sigma, []))[2].append((g.index(v), nbrs, v))
     return [
         _Group(spec, sigma, np.array([m[0] for m in ms]), np.array([m[1] for m in ms], dtype=np.intp), tuple(m[2] for m in ms))

@@ -13,6 +13,7 @@ from netdiff.coefficients import (
 from netdiff.engine import (
     PathEnsemble,
     SimulationError,
+    _plan,
     energy_distance,
     ensemble_summary_csv,
     entropy_bound_estimate,
@@ -200,6 +201,27 @@ def test_grouped_stepper_matches_the_vertex_loop():
         vs = [g.vertices[i] for i in rng.permutation(len(g))]
         bound = entropy_bound_estimate(ens, DriftTable(spec), diffusion, vs, grid[12])
         assert bound == reference_entropy_bound(ens, DriftTable(spec), diffusion, vs, 12)
+
+
+def test_plan_groups_overrides_by_their_text():
+    # overrides parsed one by one are distinct objects with one text
+    g = grid_graph(10, 10)
+    text = "runavg(x, t) - x"
+    table = DriftTable.from_strings(overrides={v: text for v in g.vertices})
+    assert len(_plan(g, table, UNIT, g.vertices)) == 3
+    grid = np.linspace(0.0, 1.0, 9)
+    ens = simulate(g, table, UNIT, NormalInitial(0, 1), grid, 5, seed=2)
+    uniform = simulate(g, parse_drift(text), UNIT, NormalInitial(0, 1), grid, 5, seed=2)
+    assert np.array_equal(ens.values, uniform.values)
+    # equal specs that differ in the sign of a zero keep their own groups
+    g = Graph([0, 1], [])
+    table = DriftTable.from_strings(overrides={0: "x + -0", 1: "x + 0"})
+    assert table.for_vertex(0) == table.for_vertex(1)
+    plan = _plan(g, table, UNIT, g.vertices)
+    assert [grp.labels for grp in plan] == [(0,), (1,)]
+    ctx = EvalContext(0.0, np.full((1, 1), -0.0), [])
+    signs = [np.signbit(evaluate_vectorized(grp.spec, ctx, 1)).item() for grp in plan]
+    assert signs == [True, False]
 
 
 def test_explosion_reports_the_vertex_replica_and_time():
