@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,8 +263,16 @@ def order_summary(reports) -> dict:
     }
 
 
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
+
+
 def reports_to_json(reports) -> str:
-    """JSON array of report records, one object per test."""
+    """Strict JSON array of report records, one object per test.
+
+    A statistic or p-value that is not finite (an inconclusive test) is
+    written as null.
+    """
     recs = []
     for r in reports:
         rec = {
@@ -271,18 +280,18 @@ def reports_to_json(reports) -> str:
             "s": list(r.s),
             "b": list(r.b),
             "mode": r.mode,
-            "statistic": r.statistic,
+            "statistic": _finite_or_none(r.statistic),
             "threshold": r.threshold,
             "verdict": r.verdict,
         }
         for key in ("n_features", "n_replicas", "p_value", "order"):
             val = getattr(r, key)
             if val is not None:
-                rec[key] = val
+                rec[key] = _finite_or_none(val)
         if r.note:
             rec["note"] = r.note
         recs.append(rec)
-    return json.dumps(recs, indent=2)
+    return json.dumps(recs, indent=2, allow_nan=False)
 
 
 def reports_to_csv(reports) -> str:

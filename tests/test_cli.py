@@ -211,6 +211,21 @@ def test_ci_scan_expectations(tmp_path, capsys):
     assert code == 1
 
 
+def test_inconclusive_ensemble_reports_are_strict_json(tmp_path, capsys):
+    # from a point mass the features at t = 0 are constant, so every test is
+    # inconclusive and has no statistic
+    cfg = copy.deepcopy(BASE)
+    cfg["graph"] = {"kind": "path", "n": 4}
+    cfg["grid"] = {"t_max": 1.0, "steps": 8}
+    cfg["replicas"] = 500
+    cfg["options"] = {"ci-scan": {"mode": "ensemble", "feature_times": [0.0, 1.0]}}
+    code, _ = run("ci-scan", write_config(tmp_path, cfg), tmp_path / "out", capsys=capsys)
+    assert code == 0
+    reports = strict_json((only_run_dir(tmp_path / "out", "ci-scan") / "reports.json").read_text())
+    assert reports and all(r["verdict"] == "inconclusive" for r in reports)
+    assert all(r["statistic"] is None for r in reports)
+
+
 def test_ci_scan_reports_condition_of_the_stacked_covariance(tmp_path, capsys):
     chain = Path(__file__).resolve().parents[1] / "demos" / "configs" / "chain.json"
     code, _ = run("ci-scan", str(chain), tmp_path / "out", capsys=capsys)
