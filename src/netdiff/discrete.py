@@ -365,10 +365,10 @@ class Witness:
     trial: int
 
 
-def random_factor_model(g: Graph, k: int, rng, scale: float = 1.0) -> FactorModel:
+def random_factor_model(g: Graph, k: int, rng) -> FactorModel:
     """Random strictly positive pairwise model: log-normal entries on every edge."""
-    factors = {edge: np.exp(rng.normal(size=(k, k)) * scale) for edge in g.edges()}
-    base = {v: np.exp(rng.normal(size=k) * scale) for v in g.vertices}
+    factors = {edge: np.exp(rng.normal(size=(k, k))) for edge in g.edges()}
+    base = {v: np.exp(rng.normal(size=k)) for v in g.vertices}
     return FactorModel(g, k, factors, base)
 
 
@@ -455,7 +455,7 @@ def conditional_specification(m: FactorModel, a_set) -> ConditionalKernel:
     return ConditionalKernel(a, b, kernel.reshape(shape), zero, disc)
 
 
-def gibbs_sampler(m: FactorModel, sweeps: int, seed: int, burn_in: int = 0) -> np.ndarray:
+def gibbs_sampler(m: FactorModel, sweeps: int, seed: int) -> np.ndarray:
     """Single-site Gibbs sweeps in fixed vertex order; one row per sweep.
 
     Requires strictly positive factors so every conditional is well defined.
@@ -476,9 +476,9 @@ def gibbs_sampler(m: FactorModel, sweeps: int, seed: int, burn_in: int = 0) -> n
         touching.append(items)
     rng = np.random.default_rng(seed)
     cur = rng.integers(0, k, size=nv)
-    u = rng.random((burn_in + sweeps, nv))
+    u = rng.random((sweeps, nv))
     out = np.empty((sweeps, nv), dtype=np.int64)
-    for s in range(burn_in + sweeps):
+    for s in range(sweeps):
         for vi in range(nv):
             w = np.ones(k)
             for axes, table in touching[vi]:
@@ -486,6 +486,5 @@ def gibbs_sampler(m: FactorModel, sweeps: int, seed: int, burn_in: int = 0) -> n
                 w = w * table[sel]
             cum = np.cumsum(w)
             cur[vi] = np.searchsorted(cum, u[s, vi] * cum[-1], side="right")
-        if s >= burn_in:
-            out[s - burn_in] = cur
+        out[s] = cur
     return out

@@ -154,9 +154,6 @@ class GirsanovWeights:
     quadratic_variation: dict
     t: float
 
-    def log_factor(self, vertex) -> np.ndarray:
-        return self.m[vertex] - 0.5 * self.quadratic_variation[vertex]
-
 
 def _check_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
@@ -358,13 +355,10 @@ def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
     return GirsanovWeights(weights, dict(zip(g.vertices, m)), dict(zip(g.vertices, qv)), float(grid[-1]))
 
 
-def energy_distance(x: np.ndarray, y: np.ndarray, max_points: int | None = _ENERGY_POINTS) -> float:
-    """Unbiased sample energy distance on the first ``max_points`` points of two clouds (n, p)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if max_points is not None:
-        x = x[:max_points]
-        y = y[:max_points]
+def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Unbiased sample energy distance on the first ``_ENERGY_POINTS`` points of two clouds (n, p)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))[:_ENERGY_POINTS]
+    y = np.atleast_2d(np.asarray(y, dtype=float))[:_ENERGY_POINTS]
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError("need at least two points per sample")

@@ -121,9 +121,6 @@ class Graph:
     def degree(self, v):
         return len(self.neighbors(v))
 
-    def max_degree(self):
-        return max((len(self._adj[v]) for v in self._vertices), default=0)
-
     def has_edge(self, u, v):
         self.index(u)
         return v in self._adj[u]
@@ -544,9 +541,6 @@ class InfiniteGraph:
 
     def with_root(self, root):
         return InfiniteGraph(self.neighbor_fn, root)
-
-    def ball(self, n: int) -> Graph:
-        return ball(self, n)
 
 
 def z_line() -> InfiniteGraph:

@@ -206,7 +206,7 @@ def test_cliques_bad_order():
 
 
 def test_ball_on_z_line():
-    g = z_line().ball(3)
+    g = ball(z_line(), 3)
     assert set(g.vertices) == set(range(-3, 4))
     assert g.edge_set() == {frozenset((i, i + 1)) for i in range(-3, 3)}
     assert g.root == 0
@@ -381,4 +381,4 @@ def test_generator_shapes():
 def test_infinite_graph_symmetry_check():
     bad = InfiniteGraph(lambda v: (v + 1,), 0)
     with pytest.raises(ValueError):
-        bad.ball(2)
+        ball(bad, 2)
