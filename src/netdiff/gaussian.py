@@ -103,25 +103,10 @@ def _phi(lam: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _vanloan_cov(L: np.ndarray, t: float) -> np.ndarray:
-    # block-exponential identity for int_0^t e^{Ls} e^{L^T s} ds
-    n = L.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = L
-    m[:n, n:] = np.eye(n)
-    m[n:, n:] = -L.T
-    e = expm(m * t)
-    sigma = e[:n, n:] @ e[:n, :n].T
-    return 0.5 * (sigma + sigma.T)
-
-
 def covariance_at(sys: GaussianSystem, t: float, method: str = "closed_form") -> CovarianceResult:
-    """Covariance of X(t) from X(0)=0, computed in closed form or by quadrature.
-
-    The closed form is the exact chain's noise covariance over one step of
-    length t, so it and `path_covariance(..., scheme="exact")` share one step
-    law.  Quadrature integrates e^{Ls} e^{L^T s} numerically.
-    """
+    """Covariance of X(t) from X(0)=0: "closed_form" is the noise covariance of
+    one exact step of length t, the step law of `path_covariance`;
+    "quadrature" integrates e^{Ls} e^{L^T s} numerically."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     if method not in ("closed_form", "quadrature"):
@@ -193,13 +178,11 @@ def conditional_covariance(cov: CovarianceResult, target: Sequence, given: Seque
 class StackedCovariance:
     """Covariance of the path vector (X_v(t_k))_{v,k}, vertex-major.
 
-    Row ``i * n_times + k`` is vertex ``labels[i]`` at ``times[k]``, so
-    `vertex_slice` picks one vertex's history; `path_covariance` assembles
-    the matrix in this layout directly.
-
-    The initial grid point carries no randomness when started from a point
-    mass, so `times` holds the grid without its first entry and the matrix
-    indexes only those stored times.
+    Row ``i * n_times + k`` is vertex ``labels[i]`` at ``times[k]``;
+    `path_covariance` assembles the matrix in this layout directly.  The
+    initial grid point carries no randomness when started from a point mass,
+    so `times` holds the grid without its first entry and the matrix indexes
+    only those stored times.
 
     `matrix` is a read-only float copy of the array passed in.  Its
     precision is computed once, on first use, and every full-vertex-set
@@ -241,7 +224,8 @@ class StackedCovariance:
 
 
 def _step_matrices(L: np.ndarray, dt: float, scheme: str, symmetric: bool):
-    """One-step transition matrix and noise covariance for the chain."""
+    """One-step transition matrix and noise covariance for the chain; the
+    exact noise covariance is int_0^dt e^{Ls} e^{L^T s} ds."""
     n = L.shape[0]
     if scheme == "euler":
         return np.eye(n) + L * dt, dt * np.eye(n)
@@ -250,8 +234,14 @@ def _step_matrices(L: np.ndarray, dt: float, scheme: str, symmetric: bool):
         f = (u * np.exp(lam * dt)) @ u.T
         q = (u * _phi(lam, dt)) @ u.T
     else:
+        # Van Loan's block-exponential identity for the noise integral
+        blk = np.zeros((2 * n, 2 * n))
+        blk[:n, :n] = L
+        blk[:n, n:] = np.eye(n)
+        blk[n:, n:] = -L.T
+        e = expm(blk * dt)
         f = expm(L * dt)
-        q = _vanloan_cov(L, dt)
+        q = e[:n, n:] @ e[:n, :n].T
     return f, 0.5 * (q + q.T)
 
 
@@ -268,10 +258,8 @@ def path_covariance(
     covariance (exact).  Under euler stepping the path density factorizes
     over two-slice neighborhoods, so stacked-precision blocks vanish for
     vertex pairs at graph distance three or more; the exact scheme has a
-    dense transition matrix and no such sparsity.
-
-    The second moments are written straight into the vertex-major layout of
-    `StackedCovariance`, one (n, n) block per pair of stored times.
+    dense transition matrix and no such sparsity.  The second moments go
+    straight into the vertex-major layout of `StackedCovariance`.
     """
     grid = _check_grid(grid)
     if scheme not in ("euler", "exact"):

@@ -268,11 +268,8 @@ def _finite_or_none(x):
 
 
 def reports_to_json(reports) -> str:
-    """Strict JSON array of report records, one object per test.
-
-    A statistic or p-value that is not finite (an inconclusive test) is
-    written as null.
-    """
+    """Strict JSON array of report records, one object per test; a statistic
+    or p-value that is not finite (an inconclusive test) is written as null."""
     recs = []
     for r in reports:
         rec = {
