@@ -263,10 +263,6 @@ def order_summary(reports) -> dict:
     }
 
 
-def _finite_or_none(x):
-    return x if math.isfinite(x) else None
-
-
 def reports_to_json(reports) -> str:
     """Strict JSON array of report records, one object per test; a statistic
     or p-value that is not finite (an inconclusive test) is written as null."""
@@ -277,14 +273,14 @@ def reports_to_json(reports) -> str:
             "s": list(r.s),
             "b": list(r.b),
             "mode": r.mode,
-            "statistic": _finite_or_none(r.statistic),
+            "statistic": r.statistic if math.isfinite(r.statistic) else None,
             "threshold": r.threshold,
             "verdict": r.verdict,
         }
         for key in ("n_features", "n_replicas", "p_value", "order"):
             val = getattr(r, key)
             if val is not None:
-                rec[key] = _finite_or_none(val)
+                rec[key] = val if math.isfinite(val) else None
         if r.note:
             rec["note"] = r.note
         recs.append(rec)
