@@ -5,7 +5,7 @@ Each vertex carries its own counter-based noise stream keyed by
 graphs sharing a vertex see identical noise on it: truncation levels can
 be compared with common random numbers.  A run builds each vertex's
 stream once and re-keys it to every step.  Vertices that share a drift
-spec, a diffusion object and a degree form a group, and each step evaluates
+text, a diffusion object and a degree form a group, and each step evaluates
 the drift once per group, bitwise as a vertex-by-vertex loop would.
 
 Girsanov reweighting turns driftless reference ensembles into samples of
@@ -167,7 +167,7 @@ def _check_grid(grid) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """Vertices that share a drift spec, a diffusion object and a degree."""
+    """Vertices that share a drift text, a diffusion object and a degree."""
 
     spec: DriftSpec | None  # None for driftless vertices
     sigma: object
