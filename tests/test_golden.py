@@ -1,13 +1,13 @@
 """Golden digests of the numerical routes and of the JSON artifacts.
 
 These pin results bit for bit, so a refactor or a speed-up of the engine,
-of the exact route, of the discrete lab, of the level-n truncation or of the
-drift language must reproduce them exactly;
+of the exact route, of the discrete lab, of the level-n truncation, of the
+drift language or of the config readers must reproduce them exactly;
 changing one on purpose needs a digest bump stated in CHANGES.md.  Most
 simulated drifts use only arithmetic, neighbour averages and running
-averages.  The engine-kernel pins and the drift-language pin also evaluate
-tanh, sin and cos, through numpy's own loops, so those digests hold for the
-numpy build they were made with.  The labels are plain ints and tuples of
+averages.  The engine-kernel, config-read and drift-language pins also
+evaluate tanh, sin and cos, through numpy's own loops, so those digests hold
+for the numpy build they were made with.  The labels are plain ints and tuples of
 ints.
 """
 
@@ -33,6 +33,7 @@ from netdiff.coefficients import (
     validate_linear_growth,
     validate_lipschitz,
 )
+from netdiff.config import build_diffusion, build_initial
 from netdiff.discrete import (
     FactorModel,
     check_mrf_bruteforce,
@@ -175,6 +176,49 @@ def test_exact_route_matrix_digests():
         "euler_initial": "3e7998cb4a3053e267fb91db4d45459f78e1456f8ef61450bdccb16246d02ad5",
         "cov_sym": "c194cc80cc20bdbaadd854bb9ed9f5b86ac8cc2348b36f970bb470ad1474c11a",
         "cov_nonsym": "2e94968340288816b65c53f9080b179587288bb973bb8ed641c4d18beb2ccd09",
+    }
+
+
+def test_config_read_digests():
+    # every initial kind and diffusion form, read through the config builders
+    g = path_graph(4)
+    model = json.loads(factor_model_to_json(random_factor_model(g, 2, np.random.default_rng(1))))
+    initials = {
+        "point": {"kind": "point", "params": {"value": 0.5}},
+        "normal": {"kind": "normal", "params": {"mean": 1.0, "std": 0.5}},
+        "uniform": {"kind": "uniform", "params": {"lo": -1.0, "hi": 2.0}},
+        "per_vertex": {"kind": "per_vertex", "params": {
+            "default": {"kind": "normal", "params": {"std": 2.0}},
+            "overrides": {
+                "2": {"kind": "point", "params": {"value": 3.0}},
+                "4": {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0}},
+            },
+        }},
+        "factor_model": {"kind": "factor_model", "params": {"model": model, "state_values": [-1.0, 1.0]}},
+    }
+    laws = {name: build_initial({"initial": spec}, g) for name, spec in initials.items()}
+    got = {name: sha(law.sample(50, g, 3)) for name, law in laws.items()}
+    diffusions = {
+        "value": {"kind": "constant", "params": {"value": 0.7}},
+        "matrix": {"kind": "constant", "params": {"matrix": [[1.0, 0.3], [0.0, 0.8]]}},
+        "tanh_diagonal": {"kind": "tanh_diagonal", "params": {"a": [1.0], "b": [0.4]}},
+    }
+    drift = parse_drift("nbr_avg(y) - x")
+    for name, spec in diffusions.items():
+        diff = build_diffusion({"diffusion": spec})
+        got[name] = sha(simulate(g, drift, diff, laws["normal"], GRID, 20, seed=4).values)
+    got["simulate_per_vertex"] = sha(simulate(g, drift, DIFF, laws["per_vertex"], GRID, 20, seed=4).values)
+    assert set(laws["per_vertex"].overrides) == {2, 4}
+    assert got == {
+        "point": "6dcdc830018f292e29172bb9da571ef028d548e6874bc51ab402d3d6170c3902",
+        "normal": "4adad93aa0caff656e9c5e2b8492e32a4eafafd95641f34ce02da275fedeee92",
+        "uniform": "5c67083c08a32919bba07dde14d30de1109515f50b95bf6c3a491033cda2929a",
+        "per_vertex": "1c78af1df373cc4e8cc74643bf8dc819011bda650af5c5253d929f4434feb2c7",
+        "factor_model": "9185a3ee6cfe084dcc259ded8382b2ff078196220a1160806822dfba9d59c3d2",
+        "value": "970808a7c1112e6b4a0f1f6d136ccac10f029a2dd1f71451b5a275cda7d8620c",
+        "matrix": "a833e6472be16347b257aa43cc781536a09747bee8de318fd1d1d5ed87a43e20",
+        "tanh_diagonal": "15415287031ba343517abcc7003b513b475c99b3f816ea276eece4739682a46e",
+        "simulate_per_vertex": "1ccc106f43e2263f3770ed59b53d94747876f6c8c287f5f044065d4ffc795c07",
     }
 
 
