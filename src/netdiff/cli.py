@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    COMMANDS,
     ConfigError,
     build_diffusion,
     build_drift,
@@ -58,18 +57,6 @@ from .gaussian import (
 from .graphs import InfiniteGraph, augmented_truncation, boundary, boundary2, cliques, format_edge_list
 from .graphs import _graph_to_json, _label_to_json
 from .independence import mrf_order_scan, order_summary, reports_to_csv, reports_to_json
-
-_COMMAND_HELP = {
-    "graph": "report boundaries, cliques and truncations of the configured graph",
-    "gaussian": "covariance, precision and conditional-covariance tables of the linear system",
-    "simulate": "run the Euler-Maruyama ensemble and write summary statistics",
-    "girsanov-check": "verify that reweighting factors of the driftless ensemble average to one",
-    "ci-scan": "conditional-independence scan over vertex sets and boundary orders",
-    "approx": "finite-truncation convergence table on the infinite line",
-    "hc-lab": "factorization, Markov-property and kernel-locality battery on discrete models",
-    "reproduce-paper": "re-derive the published golden values and print a pass/fail table",
-}
-
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
@@ -233,14 +220,13 @@ def cmd_ci_scan(cfg, opts, run_dir):
     else:
         drift, diff, init, replicas = _ensemble_inputs(cfg, g)
         ens = simulate(g, drift, diff, init, grid, replicas, cfg["seed"], substeps=opts.get("substeps", 1))
-        reports = mrf_order_scan(
-            g,
-            ens,
-            orders=orders,
-            sets=sets,
-            feature_grid=opts.get("feature_times"),
-            alpha=float(opts.get("alpha", 0.01)),
-        )
+        try:
+            times, alpha = opts.get("feature_times"), float(opts.get("alpha", 0.01))
+            reports = mrf_order_scan(g, ens, orders=orders, sets=sets, feature_grid=times, alpha=alpha)
+        except np.linalg.LinAlgError:
+            raise
+        except ValueError as exc:  # too few replicas for the features, or a feature time off the grid
+            raise ConfigError(f"ci-scan: {exc}") from exc
         trust = {}
     summary = order_summary(reports)
     (run_dir / "reports.json").write_text(reports_to_json(reports) + "\n", encoding="utf-8")
@@ -307,6 +293,7 @@ def cmd_hc_lab(cfg, opts, run_dir):
         conditional_specification,
         factorize_positive_2mrf,
         joint_table,
+        _MAX_TABLE,
         random_factor_model,
         total_variation,
     )
@@ -314,7 +301,7 @@ def cmd_hc_lab(cfg, opts, run_dir):
     g = _require_finite(build_graph(cfg), "hc-lab")
     k = opts.get("k", 2)
     n_models = opts.get("models", 20)
-    if k ** len(g.vertices) > 2**20:
+    if k ** len(g.vertices) > _MAX_TABLE:
         raise ConfigError(f"state space {k}^{len(g.vertices)} exceeds the exact-table cap")
     rng = np.random.default_rng(cfg["seed"])
     probe_sets = [(g.vertices[0],)]
@@ -447,15 +434,16 @@ def cmd_reproduce_paper(cfg, opts, run_dir):
     return ok, lines
 
 
-_COMMAND_FUNCS = {
-    "graph": cmd_graph,
-    "gaussian": cmd_gaussian,
-    "simulate": cmd_simulate,
-    "girsanov-check": cmd_girsanov_check,
-    "ci-scan": cmd_ci_scan,
-    "approx": cmd_approx,
-    "hc-lab": cmd_hc_lab,
-    "reproduce-paper": cmd_reproduce_paper,
+# name -> (function, help); config.OPTION_SCHEMAS holds each command's options under the same name
+_COMMANDS = {
+    "graph": (cmd_graph, "report boundaries, cliques and truncations of the configured graph"),
+    "gaussian": (cmd_gaussian, "covariance, precision and conditional-covariance tables of the linear system"),
+    "simulate": (cmd_simulate, "run the Euler-Maruyama ensemble and write summary statistics"),
+    "girsanov-check": (cmd_girsanov_check, "verify that reweighting factors of the driftless ensemble average to one"),
+    "ci-scan": (cmd_ci_scan, "conditional-independence scan over vertex sets and boundary orders"),
+    "approx": (cmd_approx, "finite-truncation convergence table on the infinite line"),
+    "hc-lab": (cmd_hc_lab, "factorization, Markov-property and kernel-locality battery on discrete models"),
+    "reproduce-paper": (cmd_reproduce_paper, "re-derive the published golden values and print a pass/fail table"),
 }
 
 
@@ -473,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=None, metavar="N", help="override the config replica count"
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=_COMMAND_HELP[name], description=_COMMAND_HELP[name])
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text, description=text)
     return parser
 
 
@@ -513,7 +501,7 @@ def main(argv=None) -> int:
         digest = config_hash(cfg, args.command)
         run_dir = Path(args.out) / f"{args.command}-{digest[:12]}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        ok, lines = _COMMAND_FUNCS[args.command](cfg, opts, run_dir)
+        ok, lines = _COMMANDS[args.command][0](cfg, opts, run_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,6 @@ __all__ = [
     "ParseError",
     "TanhDiagonalDiffusion",
     "ValidationReport",
-    "diffusion_from_config",
     "eval_drift",
     "parse_drift",
     "serialize",
@@ -989,14 +988,3 @@ class DiffusionTable:
     def uniform(cls, spec):
         return cls(default=spec)
 
-
-def diffusion_from_config(cfg: dict):
-    kind = cfg.get("kind")
-    params = cfg.get("params", {})
-    if kind == "constant":
-        if "matrix" in params:
-            return ConstantDiffusion(params["matrix"])
-        return ConstantDiffusion([[float(params.get("value", 1.0))]])
-    if kind == "tanh_diagonal":
-        return TanhDiagonalDiffusion(params["a"], params["b"])
-    raise ValueError(f"unknown diffusion kind {kind!r}")

@@ -1,9 +1,9 @@
 """Experiment configuration: schema validation and object construction.
 
 A configuration is a single JSON document.  ``validate_config`` checks it
-against a closed schema (unknown keys are rejected), and the ``build_*``
-helpers turn sections into live objects.  All randomness downstream flows
-from the single ``seed`` field.
+against a closed schema, and one ``build_*`` reader per section turns it into
+a live object; unknown keys, params of nested laws included, are rejected.
+All randomness downstream flows from the single ``seed`` field.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import jsonschema
 import numpy as np
 
 from . import graphs
-from .coefficients import DriftTable, diffusion_from_config, parse_drift
+from .coefficients import ConstantDiffusion, DriftTable, TanhDiagonalDiffusion, parse_drift
 from .engine import _check_grid
 from .graphs import Graph, InfiniteGraph
-from .initials import PointMass, initial_from_config
+from .initials import FactorModelInitial, NormalInitial, PerVertexInitial, PointMass, UniformInitial
 
 __all__ = [
     "ConfigError",
@@ -36,18 +36,6 @@ __all__ = [
     "build_grid",
     "resolve_vertex",
 ]
-
-COMMANDS = (
-    "graph",
-    "gaussian",
-    "simulate",
-    "girsanov-check",
-    "ci-scan",
-    "approx",
-    "hc-lab",
-    "reproduce-paper",
-)
-
 
 class ConfigError(ValueError):
     """Configuration rejected: schema violation or unresolvable reference."""
@@ -201,6 +189,17 @@ OPTION_SCHEMAS = {
     },
     "reproduce-paper": {"type": "object", "additionalProperties": False},
 }
+COMMANDS = tuple(OPTION_SCHEMAS)
+
+# the params each diffusion and initial kind reads; nested per_vertex laws
+# never reach the schema, so the readers check these keys themselves
+_DIFFUSION_PARAMS = {"constant": {"value", "matrix"}, "tanh_diagonal": {"a", "b"}}
+_INITIAL_PARAMS = {
+    "point": {"value"}, "normal": {"mean", "std"}, "uniform": {"lo", "hi"},
+    "per_vertex": {"default", "overrides"}, "factor_model": {"model", "state_values"},
+}
+# a per_vertex law draws vertex by vertex, so it nests every kind but the joint one
+_PRODUCT_PARAMS = {k: v for k, v in _INITIAL_PARAMS.items() if k != "factor_model"}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -217,7 +216,7 @@ CONFIG_SCHEMA = {
         "diffusion": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["constant", "tanh_diagonal"]},
+                "kind": {"enum": list(_DIFFUSION_PARAMS)},
                 "params": {"type": "object"},
             },
             "required": ["kind"],
@@ -226,7 +225,7 @@ CONFIG_SCHEMA = {
         "initial": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["point", "normal", "uniform", "per_vertex", "factor_model"]},
+                "kind": {"enum": list(_INITIAL_PARAMS)},
                 "params": {"type": "object"},
             },
             "required": ["kind"],
@@ -298,52 +297,54 @@ def config_hash(cfg: dict, command: str) -> str:
     return hashlib.sha256((canon + "\n" + command).encode()).hexdigest()
 
 
+def _label(raw):
+    return tuple(raw) if isinstance(raw, list) else raw
+
+
+def _params(spec, kinds: dict):
+    """Kind and params of a ``{"kind", "params"}`` spec, keeping to the keys its kind reads."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    params = spec.get("params", {}) if kind in kinds else None
+    if not isinstance(params, dict) or set(spec) - {"kind", "params"}:
+        raise ValueError(f"{spec!r} is not a kind among {', '.join(kinds)} with an object of params")
+    unknown = sorted(set(params) - kinds[kind])
+    if unknown:
+        raise ValueError(f"unknown {kind} params: {', '.join(map(repr, unknown))}")
+    return kind, params
+
+
 def build_graph(cfg: dict):
-    """Graph section -> Graph or InfiniteGraph."""
+    """Graph section -> Graph or InfiniteGraph, rooted at the vertex ``root`` names."""
     spec = cfg.get("graph")
     if spec is None:
         raise ConfigError("config has no graph section")
     kind = spec["kind"]
-    root = spec.get("root")
-    if isinstance(root, list):
-        root = tuple(root)
     try:
-        if kind == "path":
-            return graphs.path_graph(spec["n"], root=root)
-        if kind == "cycle":
-            return graphs.cycle_graph(spec["n"], root=root)
-        if kind == "grid":
-            return graphs.grid_graph(spec["rows"], spec["cols"], root=root)
-        if kind == "tree":
-            g = graphs.regular_tree(spec["branching"], spec["depth"])
-            return g if root is None else g.with_root(resolve_vertex(g, root))
         if kind == "z_line":
             return graphs.z_line()
-        if kind == "edges":
-            edges = [tuple(tuple(x) if isinstance(x, list) else x for x in e) for e in spec["edges"]]
-            verts = spec.get("vertices")
-            if verts is None:
-                seen = []
-                for u, w in edges:
-                    for v in (u, w):
-                        if v not in seen:
-                            seen.append(v)
-                verts = seen
-            else:
-                verts = [tuple(v) if isinstance(v, list) else v for v in verts]
-            return Graph(verts, edges, root=root)
-        if kind == "file":
+        if kind == "path":
+            g = graphs.path_graph(spec["n"])
+        elif kind == "cycle":
+            g = graphs.cycle_graph(spec["n"])
+        elif kind == "grid":
+            g = graphs.grid_graph(spec["rows"], spec["cols"])
+        elif kind == "tree":
+            g = graphs.regular_tree(spec["branching"], spec["depth"])
+        elif kind == "edges":
+            edges = [tuple(map(_label, e)) for e in spec["edges"]]
+            verts = map(_label, spec["vertices"]) if "vertices" in spec else dict.fromkeys(v for e in edges for v in e)
+            g = Graph(verts, edges)
+        else:
             with open(spec["path"], encoding="utf-8") as fh:
                 g = graphs.parse_edge_list(fh.read())
-            return g if root is None else g.with_root(resolve_vertex(g, root))
+        return g if "root" not in spec else g.with_root(resolve_vertex(g, spec["root"]))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"graph section: {exc}") from exc
-    raise ConfigError(f"unknown graph kind {kind!r}")
 
 
 def resolve_vertex(g, raw):
     """Map a JSON vertex reference onto an actual label of ``g``."""
-    label = tuple(raw) if isinstance(raw, list) else raw
+    label = _label(raw)
     if isinstance(g, InfiniteGraph):
         if isinstance(label, int):
             return label
@@ -372,9 +373,7 @@ def build_drift(cfg: dict, g) -> DriftTable:
         raw_overrides = spec.get("overrides", {})
         if raw_overrides and isinstance(g, InfiniteGraph):
             raise ConfigError("drift overrides need a finite graph")
-        overrides = {
-            resolve_vertex(g, key): parse_drift(text) for key, text in raw_overrides.items()
-        }
+        overrides = {resolve_vertex(g, key): parse_drift(text) for key, text in raw_overrides.items()}
     except ValueError as exc:
         raise ConfigError(f"drift section: {exc}") from exc
     return DriftTable(default, overrides)
@@ -385,32 +384,49 @@ def build_diffusion(cfg: dict):
     if spec is None:
         raise ConfigError("config has no diffusion section")
     try:
-        return diffusion_from_config(spec)
+        kind, params = _params(spec, _DIFFUSION_PARAMS)
+        if kind == "tanh_diagonal":
+            return TanhDiagonalDiffusion(params["a"], params["b"])
+        if "matrix" in params:
+            return ConstantDiffusion(params["matrix"])
+        return ConstantDiffusion([[float(params.get("value", 1.0))]])
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"diffusion section: {exc}") from exc
 
 
-def build_initial(cfg: dict, g=None):
+def build_initial(cfg: dict, g):
+    """Initial section -> initial law (a point mass at 0 when absent); ``per_vertex``
+    laws nest, and their override keys name vertices of ``g`` at every level."""
     spec = cfg.get("initial")
     if spec is None:
         return PointMass(0.0)
     try:
-        if spec["kind"] == "factor_model":
-            from .discrete import factor_model_from_json
-            from .initials import FactorModelInitial
-
-            params = spec.get("params", {})
-            model = factor_model_from_json(json.dumps(params["model"]))
-            return FactorModelInitial(model, params.get("state_values"))
-        law = initial_from_config(spec)
-        if spec["kind"] == "per_vertex" and g is not None:
-            if law.overrides and isinstance(g, InfiniteGraph):
-                raise ConfigError("initial overrides need a finite graph")
-            resolved = {resolve_vertex(g, key): sub for key, sub in law.overrides.items()}
-            law = type(law)(law.default, resolved)
-        return law
+        return _initial_law(spec, g, _INITIAL_PARAMS)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"initial section: {exc}") from exc
+
+
+def _initial_law(spec, g, kinds):
+    kind, params = _params(spec, kinds)
+    if kind == "point":
+        return PointMass(params.get("value", 0.0))
+    if kind == "normal":
+        return NormalInitial(params.get("mean", 0.0), params.get("std", 1.0))
+    if kind == "uniform":
+        return UniformInitial(params["lo"], params["hi"])
+    if kind == "factor_model":
+        from .discrete import factor_model_from_json  # deferred: discrete layer is optional here
+
+        return FactorModelInitial(factor_model_from_json(json.dumps(params["model"])), params.get("state_values"))
+    overrides = params.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ValueError("per_vertex overrides must map vertices to laws")
+    if overrides and isinstance(g, InfiniteGraph):
+        raise ConfigError("initial overrides need a finite graph")
+    return PerVertexInitial(
+        None if params.get("default") is None else _initial_law(params["default"], g, _PRODUCT_PARAMS),
+        {resolve_vertex(g, key): _initial_law(sub, g, _PRODUCT_PARAMS) for key, sub in overrides.items()},
+    )
 
 
 def build_grid(cfg: dict) -> np.ndarray:

@@ -410,7 +410,6 @@ def truncation_convergence(
     n_replicas,
     seed,
     steps=64,
-    root=None,
     substeps=1,
 ) -> TruncationTable:
     """Distance of window marginals at each truncation level to the largest level.
@@ -421,8 +420,7 @@ def truncation_convergence(
     """
     ns = sorted(set(int(n) for n in ns))
     window = list(window)
-    base = g_infinite if root is None else g_infinite.with_root(root)
-    smallest, shell = _truncate(base, ns[0])
+    smallest, shell = _truncate(g_infinite, ns[0])
     outside = [v for v in window if v not in smallest or v in shell]
     if outside:
         raise ValueError(f"window vertices {outside!r} lie outside the smallest truncation's interior")
@@ -430,7 +428,7 @@ def truncation_convergence(
     grid = np.linspace(0.0, t, steps + 1)
     marginals = {}
     for n in ns:
-        ens = simulate_truncated(base, None, n, drift, diffusion, mu0, grid, n_replicas, seed, substeps)
+        ens = simulate_truncated(g_infinite, None, n, drift, diffusion, mu0, grid, n_replicas, seed, substeps)
         idx = [ens.graph.index(v) for v in window]
         marginals[n] = ens.values[:, idx, -1, :].reshape(n_replicas, -1)
     ref = marginals[ns[-1]]

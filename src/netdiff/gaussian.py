@@ -322,18 +322,15 @@ def _precision_block_maxima(cov: np.ndarray, m: int):
     return top, rel, float(ev[-1] / ev[0])
 
 
-def path_precision_blocks(stacked: StackedCovariance, labels: Sequence | None = None) -> list[BlockNorm]:
+def path_precision_blocks(stacked: StackedCovariance) -> list[BlockNorm]:
     """Max-abs entry of every off-diagonal vertex block of the stacked precision.
 
     `relative` rescales by the geometric mean of the two diagonal-block
     scales so thresholds are meaningful across systems.
     """
-    if labels is None:
-        labels = stacked.labels
     top, rel, _ = stacked._block_maxima
-    idx = {lab: i for i, lab in enumerate(stacked.labels)}
-    pairs = combinations([(lab, idx[lab]) for lab in labels], 2)
-    return [BlockNorm(u, v, float(top[i, j]), float(rel[i, j])) for (u, i), (v, j) in pairs]
+    pairs = combinations(enumerate(stacked.labels), 2)
+    return [BlockNorm(u, v, float(top[i, j]), float(rel[i, j])) for (i, u), (j, v) in pairs]
 
 
 def matrix_csv(matrix: np.ndarray, labels: Sequence) -> str:

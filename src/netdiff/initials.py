@@ -102,21 +102,3 @@ class FactorModelInitial:
             vals = self.state_values[states]
         return vals[:, :, None]
 
-
-def initial_from_config(cfg: dict):
-    kind = cfg.get("kind")
-    params = cfg.get("params", {})
-    if kind == "point":
-        return PointMass(params.get("value", 0.0))
-    if kind == "normal":
-        return NormalInitial(params.get("mean", 0.0), params.get("std", 1.0))
-    if kind == "uniform":
-        return UniformInitial(params["lo"], params["hi"])
-    if kind == "per_vertex":
-        default = params.get("default")
-        overrides = params.get("overrides", {})
-        return PerVertexInitial(
-            None if default is None else initial_from_config(default),
-            {v: initial_from_config(c) for v, c in overrides.items()},
-        )
-    raise ValueError(f"unknown initial law kind {kind!r}")

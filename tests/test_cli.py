@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from netdiff.cli import build_parser, main
-from netdiff.config import COMMANDS
+from netdiff.config import COMMANDS, ConfigError, build_graph, build_initial
+from netdiff.graphs import path_graph, z_line
 
 BASE = {
     "graph": {"kind": "path", "n": 5},
@@ -433,3 +434,87 @@ def test_factor_model_initial_through_config(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     start = [float(r["std"]) for r in rows if float(r["time"]) == 0.0]
     assert all(s > 0.5 for s in start)
+
+
+def test_nested_initial_overrides_resolve_their_vertices():
+    inner = {
+        "kind": "per_vertex",
+        "params": {
+            "default": {"kind": "point", "params": {"value": -1.0}},
+            "overrides": {"2": {"kind": "point", "params": {"value": 5.0}}},
+        },
+    }
+    g = path_graph(3)
+    law = build_initial({"initial": {"kind": "per_vertex", "params": {"default": inner}}}, g)
+    assert law.sample(4, g, 0)[:, :, 0].tolist() == [[-1.0, 5.0, -1.0]] * 4
+
+    outer = {"kind": "per_vertex", "params": {"overrides": {"1": inner}}}
+    with pytest.raises(ConfigError, match="initial overrides need a finite graph"):
+        build_initial({"initial": {"kind": "per_vertex", "params": {"default": outer}}}, z_line())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "path", "n": 5, "root": "3"},
+        {"kind": "cycle", "n": 5, "root": "3"},
+        {"kind": "tree", "branching": 2, "depth": 2, "root": "3"},
+        {"kind": "edges", "edges": [[1, 2], [2, 3], [3, 4]], "root": "3"},
+    ],
+)
+def test_string_root_names_a_vertex_of_every_graph_kind(spec):
+    assert build_graph({"graph": spec}).root == 3
+
+
+def test_grid_root_by_label_text():
+    assert build_graph({"graph": {"kind": "grid", "rows": 2, "cols": 2, "root": "(1, 0)"}}).root == (1, 0)
+    with pytest.raises(ConfigError, match="does not name a graph vertex"):
+        build_graph({"graph": {"kind": "path", "n": 3, "root": 7}})
+
+
+_POINT = {"kind": "point", "params": {"value": 0.0}}
+
+
+@pytest.mark.parametrize(
+    "section, spec, key",
+    [
+        ("diffusion", {"kind": "constant", "params": {"valeu": 2.0}}, "valeu"),
+        ("diffusion", {"kind": "tanh_diagonal", "params": {"a": [1.0], "b": [0.5], "c": 1}}, "c"),
+        ("initial", {"kind": "point", "params": {"val": 1.0}}, "val"),
+        ("initial", {"kind": "normal", "params": {"mean": 0.0, "sd": 1.0}}, "sd"),
+        ("initial", {"kind": "uniform", "params": {"lo": 0.0, "hi": 1.0, "extra": 2}}, "extra"),
+        ("initial", {"kind": "factor_model", "params": {"model": {}, "states": [0, 1]}}, "states"),
+        ("initial", {"kind": "per_vertex", "params": {"default": _POINT, "override": {}}}, "override"),
+        (
+            "initial",
+            {"kind": "per_vertex", "params": {"default": {"kind": "point", "params": {"valeu": 1.0}}}},
+            "valeu",
+        ),
+        (
+            "initial",
+            {"kind": "per_vertex", "params": {"overrides": {"2": {"kind": "normal", "params": {"std": 1.0, "x": 0}}}}},
+            "x",
+        ),
+    ],
+)
+def test_unknown_params_keys_are_config_errors(tmp_path, capsys, section, spec, key):
+    cfg = copy.deepcopy(BASE)
+    cfg[section] = spec
+    cfg["replicas"] = 10
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{section} section: " in err and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "replicas, grid, times",
+    [(200, {"t_max": 1.0, "steps": 8}, [0.0, 1.0]), (500, {"t_max": 1.0, "steps": 4}, [0.3])],
+)
+def test_ensemble_ci_scan_config_faults_exit_2(tmp_path, capsys, replicas, grid, times):
+    cfg = copy.deepcopy(BASE)
+    cfg["graph"] = {"kind": "path", "n": 4}
+    cfg["grid"] = grid
+    cfg["replicas"] = replicas
+    cfg["options"] = {"ci-scan": {"mode": "ensemble", "feature_times": times}}
+    assert main(["ci-scan", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: ci-scan: " in capsys.readouterr().err
