@@ -220,8 +220,8 @@ def cmd_ci_scan(cfg, opts, run_dir):
     else:
         drift, diff, init, replicas = _ensemble_inputs(cfg, g)
         ens = simulate(g, drift, diff, init, grid, replicas, cfg["seed"], substeps=opts.get("substeps", 1))
+        times, alpha = opts.get("feature_times"), float(opts.get("alpha", 0.01))
         try:
-            times, alpha = opts.get("feature_times"), float(opts.get("alpha", 0.01))
             reports = mrf_order_scan(g, ens, orders=orders, sets=sets, feature_grid=times, alpha=alpha)
         except np.linalg.LinAlgError:
             raise
@@ -289,11 +289,11 @@ def cmd_approx(cfg, opts, run_dir):
 
 def cmd_hc_lab(cfg, opts, run_dir):
     from .discrete import (
+        _MAX_TABLE,
         check_mrf_bruteforce,
         conditional_specification,
         factorize_positive_2mrf,
         joint_table,
-        _MAX_TABLE,
         random_factor_model,
         total_variation,
     )

@@ -334,7 +334,7 @@ def build_graph(cfg: dict):
             edges = [tuple(map(_label, e)) for e in spec["edges"]]
             verts = map(_label, spec["vertices"]) if "vertices" in spec else dict.fromkeys(v for e in edges for v in e)
             g = Graph(verts, edges)
-        else:
+        else:  # file
             with open(spec["path"], encoding="utf-8") as fh:
                 g = graphs.parse_edge_list(fh.read())
         return g if "root" not in spec else g.with_root(resolve_vertex(g, spec["root"]))

@@ -454,22 +454,20 @@ def test_nested_initial_overrides_resolve_their_vertices():
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, root",
     [
-        {"kind": "path", "n": 5, "root": "3"},
-        {"kind": "cycle", "n": 5, "root": "3"},
-        {"kind": "tree", "branching": 2, "depth": 2, "root": "3"},
-        {"kind": "edges", "edges": [[1, 2], [2, 3], [3, 4]], "root": "3"},
+        ({"kind": "path", "n": 5, "root": "3"}, 3),
+        ({"kind": "cycle", "n": 5, "root": "3"}, 3),
+        ({"kind": "grid", "rows": 2, "cols": 2, "root": "(1, 0)"}, (1, 0)),
+        ({"kind": "tree", "branching": 2, "depth": 2, "root": "3"}, 3),
+        ({"kind": "edges", "edges": [[1, 2], [2, 3], [3, 4]], "root": "3"}, 3),
     ],
 )
-def test_string_root_names_a_vertex_of_every_graph_kind(spec):
-    assert build_graph({"graph": spec}).root == 3
-
-
-def test_grid_root_by_label_text():
-    assert build_graph({"graph": {"kind": "grid", "rows": 2, "cols": 2, "root": "(1, 0)"}}).root == (1, 0)
-    with pytest.raises(ConfigError, match="does not name a graph vertex"):
-        build_graph({"graph": {"kind": "path", "n": 3, "root": 7}})
+def test_root_text_names_a_vertex_of_every_graph_kind(spec, root):
+    assert build_graph({"graph": spec}).root == root
+    spec["root"] = 7
+    with pytest.raises(ConfigError, match="graph section: vertex 7 does not name a graph vertex"):
+        build_graph({"graph": spec})
 
 
 _POINT = {"kind": "point", "params": {"value": 0.0}}
