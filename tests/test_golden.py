@@ -14,6 +14,7 @@ ints.
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 from test_coefficients import CATALOG, _random_ast
@@ -294,6 +295,33 @@ def test_artifact_json_bytes(tmp_path, capsys):
     (run_dir,) = (tmp_path / "out").iterdir()
     report = (run_dir / "report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == "13c2695d8d30592aecc7abad900cb46cd8feeb120e3444848616c103222f6f91"
+
+
+CHAIN = Path(__file__).resolve().parents[1] / "demos" / "configs" / "chain.json"
+
+
+def test_chain_demo_exact_artifact_digests(tmp_path, capsys):
+    # the exact route end to end: every artifact of `gaussian` and exact `ci-scan` on chain.json
+    got = {}
+    for command in ("gaussian", "ci-scan"):
+        assert main([command, "--config", str(CHAIN), "--out", str(tmp_path)]) == 0
+        (run_dir,) = tmp_path.glob(f"{command}-*")
+        for path in sorted(run_dir.iterdir()):
+            if path.name != "run.log":
+                got[f"{command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert got == {
+        "gaussian/ci_edges.json": "21aec5371d3577111df1f0693e7bef0fd6a23ce2e363256051b0b14e7fd107b5",
+        "gaussian/conditional_1.csv": "749d40705a3fd1a675e486c33c6128754e0b4c3da1146e7d69551f693fd81874",
+        "gaussian/conditional_2.csv": "0b199b1e2c04ab702d4b883fef448c75eb7ec68a4876c568479653e85fb933b7",
+        "gaussian/covariance.csv": "eece45608731780cf5580d00c049980e12bcc4a7491eef16fb8b7240e3ac5fec",
+        "gaussian/manifest.json": "e716fecb6c7b0012c67b20040ef8fcf97a64a70b153e723cde11d516cb16209d",
+        "gaussian/precision.csv": "7e92935db5ad17ec3247be58644dae8727fad88506c58417fcc411e6eb556157",
+        "ci-scan/manifest.json": "7dbed1b5c843a063c61e8a3fdcac5f1f3e7e07c78967c34f0b3157d2e50e31b9",
+        "ci-scan/reports.json": "f36a8b2fd7963fd9698ec178e34c5aa9adc06b45d4d2ebd6c12fb8ef6d64c4b4",
+        "ci-scan/summary.csv": "ec141cacdbcbe58a20debb3cb4c0dd3e2227e267c1ce02a232ced86a12454b88",
+        "ci-scan/verdicts.json": "b1e0cad459bbc5f8b17e8e40e173e0cdb07d414aca86de60ee516f95de6a0460",
+    }
 
 
 def _node_kinds(node):
