@@ -48,6 +48,7 @@ from .gaussian import (
     build_linear_system,
     conditional_covariance,
     covariance_at,
+    linear_system,
     matrix_csv,
     path_covariance,
     path_precision_blocks,
@@ -83,10 +84,13 @@ def _ensemble_inputs(cfg, g):
     return drift, diff, init, replicas
 
 
-def _linear_system(g, opts):
-    """The exact route's drift matrix: adjacency plus the shift of options.variant."""
-    shift = -2.0 if opts.get("variant", "standard") == "standard" else 0.0
-    return build_linear_system(g, shift)
+def _linear_system(cfg, g):
+    """The exact route's model: the config's drift and diffusion compiled to L and sigma^2."""
+    drift, diff = build_drift(cfg, g), build_diffusion(cfg)
+    try:
+        return linear_system(g, drift, diff)
+    except ValueError as exc:  # a drift outside the affine subset, or a non-constant diffusion
+        raise ConfigError(f"exact route: {exc}") from exc
 
 
 def cmd_graph(cfg, opts, run_dir):
@@ -139,7 +143,7 @@ def cmd_graph(cfg, opts, run_dir):
 
 def cmd_gaussian(cfg, opts, run_dir):
     g = _require_finite(build_graph(cfg), "gaussian")
-    sys_ = _linear_system(g, opts)
+    sys_ = _linear_system(cfg, g)
     t = float(opts.get("t", 2.0))
     cov = covariance_at(sys_, t)
     prec = precision_at(sys_, t, tol=float(opts.get("precision_tol", 1e-6)))
@@ -147,7 +151,7 @@ def cmd_gaussian(cfg, opts, run_dir):
     (run_dir / "precision.csv").write_text(matrix_csv(prec.q, prec.labels), encoding="utf-8")
     (run_dir / "ci_edges.json").write_text(precision_edges_json(prec) + "\n", encoding="utf-8")
     lines = [
-        f"{sys_.variant} system on {len(cov.labels)} vertices at t={t}",
+        f"linear system on {len(cov.labels)} vertices at t={t}, noise variance {sys_.noise:g}",
         f"covariance method: {cov.method}; precision edges: {len(prec.ci_edges)}",
     ]
     for i, spec in enumerate(opts.get("conditionals", []), start=1):
@@ -214,7 +218,7 @@ def cmd_ci_scan(cfg, opts, run_dir):
     if sets is not None:
         sets = [resolve_vertices(g, raw) for raw in sets]
     if mode == "exact":
-        source = path_covariance(_linear_system(g, opts), grid, scheme=opts.get("scheme", "euler"))
+        source = path_covariance(_linear_system(cfg, g), grid, scheme=opts.get("scheme", "euler"))
         reports = mrf_order_scan(g, source, orders=orders, sets=sets, tol=float(opts.get("tol", 1e-8)))
         trust = {"condition": source.condition}
     else:

@@ -10,9 +10,9 @@ empirical test.  Number literals and all constant arithmetic are finite: the
 parser folds every constant operation as it builds it.
 
 Each pass lives on the node classes: ``ev(ctx)`` evaluates a node,
-``ser()`` gives its text and binding precedence, and ``growth(v)`` and
-``lip(v)`` give its two certificate records.  A new node type implements
-these four methods.
+``ser()`` gives its text and binding precedence, ``growth(v)`` and ``lip(v)``
+give its two certificate records, and ``affine()`` says whether the exact
+Gaussian route can compile it.  A new node type implements all five.
 
 Evaluation is vectorized: all state arguments carry leading batch axes (the
 replicas, and optionally a block of vertices before them), so the simulation
@@ -106,6 +106,10 @@ class _Node:
         (child,) = self.children()
         return child.lip(v)
 
+    def affine(self):
+        """Affine in x and the y it reads; by default only a constant, which reads none of x, y and t."""
+        return not any(n.stateful for n in _walk(self))
+
 
 class _Own(_Node):
     """The own state ``x`` and the functionals of its history."""
@@ -166,6 +170,9 @@ class OwnState(_Own):
     def ser(self):
         return "x", _ATOM
 
+    def affine(self):
+        return True
+
 
 @dataclass(frozen=True)
 class NbrState(_Node):
@@ -179,6 +186,9 @@ class NbrState(_Node):
 
     def ser(self):
         return "y", _ATOM
+
+    def affine(self):
+        return True
 
     def growth(self, v):
         return _Growth(0.0, 0.0, 1.0, _INF, False)
@@ -270,6 +280,13 @@ class BinOp(_Node):
         s = 1.0 / abs(_const_value(self.right))
         return _Lip(s * l.kx, s * l.ky, s * l.mag, l.state_free)
 
+    def affine(self):
+        l, r = self.left, self.right
+        if self.op in "+-":
+            return l.affine() and r.affine()
+        # a product needs one constant factor; the parser keeps every denominator constant
+        return (l.affine() and _const_value(r) is not None) or (self.op == "*" and r.affine() and _const_value(l) is not None)
+
 
 @dataclass(frozen=True)
 class Neg(_Node):
@@ -281,6 +298,9 @@ class Neg(_Node):
 
     def ser(self):
         return f"-{_text(self.arg, _ATOM)}", _NEG
+
+    def affine(self):
+        return self.arg.affine()
 
 
 @dataclass(frozen=True)
@@ -348,6 +368,9 @@ class NbrAgg(_Node):
 
     def ser(self):
         return f"nbr_{self.kind}({_text(self.arg)})", _ATOM
+
+    def affine(self):
+        return self.arg.affine()
 
     def growth(self, v):
         c = self.arg.growth(v)

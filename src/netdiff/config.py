@@ -123,7 +123,6 @@ OPTION_SCHEMAS = {
     "gaussian": {
         "type": "object",
         "properties": {
-            "variant": {"enum": ["standard", "zero_diagonal"]},
             "t": {"type": "number", "exclusiveMinimum": 0},
             "precision_tol": {"type": "number", "exclusiveMinimum": 0},
             "conditionals": {
@@ -152,7 +151,6 @@ OPTION_SCHEMAS = {
         "properties": {
             "mode": {"enum": ["exact", "ensemble"]},
             "scheme": {"enum": ["euler", "exact"]},
-            "variant": {"enum": ["standard", "zero_diagonal"]},
             "orders": {"type": "array", "items": {"enum": [1, 2]}, "minItems": 1},
             "tol": {"type": "number", "exclusiveMinimum": 0},
             "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
@@ -387,6 +385,8 @@ def build_diffusion(cfg: dict):
         kind, params = _params(spec, _DIFFUSION_PARAMS)
         if kind == "tanh_diagonal":
             return TanhDiagonalDiffusion(params["a"], params["b"])
+        if {"value", "matrix"} <= set(params):
+            raise ValueError("constant params take 'value' or 'matrix', not both")
         if "matrix" in params:
             return ConstantDiffusion(params["matrix"])
         return ConstantDiffusion([[float(params.get("value", 1.0))]])
@@ -396,17 +396,20 @@ def build_diffusion(cfg: dict):
 
 def build_initial(cfg: dict, g):
     """Initial section -> initial law (a point mass at 0 when absent); ``per_vertex``
-    laws nest, and their override keys name vertices of ``g`` at every level."""
+    laws nest, and their override keys name vertices of ``g`` at every level.
+    On a finite graph every vertex must get a law; the vertices of z_line are
+    known only per truncation level."""
     spec = cfg.get("initial")
     if spec is None:
         return PointMass(0.0)
     try:
-        return _initial_law(spec, g, _INITIAL_PARAMS)
+        return _initial_law(spec, g, _INITIAL_PARAMS, () if isinstance(g, InfiniteGraph) else g.vertices)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"initial section: {exc}") from exc
 
 
-def _initial_law(spec, g, kinds):
+def _initial_law(spec, g, kinds, cover):
+    """The law of ``spec``, which must give one to every vertex in ``cover``."""
     kind, params = _params(spec, kinds)
     if kind == "point":
         return PointMass(params.get("value", 0.0))
@@ -423,10 +426,12 @@ def _initial_law(spec, g, kinds):
         raise ValueError("per_vertex overrides must map vertices to laws")
     if overrides and isinstance(g, InfiniteGraph):
         raise ConfigError("initial overrides need a finite graph")
-    return PerVertexInitial(
-        None if params.get("default") is None else _initial_law(params["default"], g, _PRODUCT_PARAMS),
-        {resolve_vertex(g, key): _initial_law(sub, g, _PRODUCT_PARAMS) for key, sub in overrides.items()},
-    )
+    keyed = {resolve_vertex(g, key): sub for key, sub in overrides.items()}
+    laws = {key: _initial_law(sub, g, _PRODUCT_PARAMS, (key,)) for key, sub in keyed.items()}
+    rest, default = tuple(v for v in cover if v not in laws), params.get("default")
+    if rest and default is None:
+        raise ValueError(f"no initial law for vertex {rest[0]!r}: per_vertex needs a default or an override")
+    return PerVertexInitial(None if default is None else _initial_law(default, g, _PRODUCT_PARAMS, rest), laws)
 
 
 def build_grid(cfg: dict) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Closed-form analytics for linear-drift, unit-diffusion network systems.
+"""Closed-form analytics for linear-drift, constant-diffusion network systems.
 
-The model is dX(t) = L X(t) dt + dW(t) started from X(0) = 0 (or a
+The model is dX(t) = L X(t) dt + sigma dW(t) started from X(0) = 0 (or a
 supplied initial covariance), where L couples each vertex to its graph
-neighbors.  Everything here is exact linear algebra: covariance and
-precision matrices at a fixed time, Gaussian conditioning, and the
-covariance/precision of the discretized path vector.
+neighbors; `linear_system` compiles L and sigma^2 from a configured model.
+Everything here is exact linear algebra: covariance and precision matrices
+at a fixed time, Gaussian conditioning, and the discretized path vector.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from .coefficients import ConstantDiffusion, DriftTable, EvalContext, evaluate_vectorized, zero_drift
 from .engine import _check_grid
 from .graphs import Graph, adjacency_matrix
 
@@ -29,6 +30,7 @@ __all__ = [
     "StackedCovariance",
     "BlockNorm",
     "build_linear_system",
+    "linear_system",
     "covariance_at",
     "precision_at",
     "conditional_covariance",
@@ -41,11 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianSystem:
-    """Linear drift matrix together with the vertex labels it indexes."""
+    """Linear drift matrix, the vertex labels it indexes and the noise variance sigma^2."""
 
     L: np.ndarray
     labels: tuple
-    variant: str = "custom"
+    noise: float = 1.0
 
     def __post_init__(self):
         L = np.asarray(self.L, dtype=float)
@@ -53,6 +55,8 @@ class GaussianSystem:
             raise ValueError("drift matrix must be square")
         if L.shape[0] != len(self.labels):
             raise ValueError("label count does not match matrix size")
+        if not 0 < self.noise < np.inf:
+            raise ValueError("noise variance must be positive and finite")
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -83,15 +87,29 @@ class PrecisionResult:
 
 def build_linear_system(g: Graph, diag_shift: float) -> GaussianSystem:
     """Drift matrix L = adjacency(g) + diag_shift*I in vertex order."""
-    a = adjacency_matrix(g)
-    L = a + diag_shift * np.eye(len(g.vertices))
-    if diag_shift == -2.0:
-        variant = "standard"
-    elif diag_shift == 0.0:
-        variant = "zero_diagonal"
-    else:
-        variant = "custom"
-    return GaussianSystem(L, g.vertices, variant)
+    return GaussianSystem(adjacency_matrix(g) + diag_shift * np.eye(len(g.vertices)), g.vertices)
+
+
+def linear_system(g: Graph, drift: DriftTable, diffusion) -> GaussianSystem:
+    """Compile an affine drift table and a constant 1x1 diffusion into L and sigma^2.
+
+    Row i of L is vertex i's drift at each unit state e_j minus its drift at
+    0, from one evaluation on n + 1 probe states; a constant offset moves
+    only the mean, so it drops out.
+    """
+    if not isinstance(diffusion, ConstantDiffusion) or diffusion.d != 1:
+        raise ValueError("the exact route needs a constant 1x1 diffusion")
+    n = len(g.vertices)
+    probes = np.vstack([np.zeros(n), np.eye(n)])[:, :, None]  # replica 0 is the zero state, replica j+1 is e_j
+    L = np.zeros((n, n))
+    for i, v in enumerate(g.vertices):
+        spec = drift.for_vertex(v) or zero_drift()
+        if not spec.ast.affine():
+            raise ValueError(f"drift of vertex {v!r} is not affine in x and y: {spec.text}")
+        nbrs = [probes[:, g.index(u)] for u in g.neighbors(v)]
+        b = evaluate_vectorized(spec, EvalContext(0.0, probes[:, i], nbrs), 1)[:, 0]
+        L[i] = b[1:] - b[0]
+    return GaussianSystem(L, g.vertices, float(diffusion.matrix[0, 0] ** 2))
 
 
 def _phi(lam: np.ndarray, t: float) -> np.ndarray:
@@ -119,9 +137,9 @@ def covariance_at(sys: GaussianSystem, t: float, method: str = "closed_form") ->
             e = expm(sys.L * s)
             return e @ e.T
         sigma, _ = quad_vec(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-13)
-        sigma = 0.5 * (sigma + sigma.T)
+        sigma = sys.noise * 0.5 * (sigma + sigma.T)
     else:
-        sigma = _step_matrices(sys.L, t, "exact", sys.is_symmetric)[1]
+        sigma = _step_matrices(sys, t, "exact")[1]
     return CovarianceResult(sigma, float(t), method, sys.labels)
 
 
@@ -132,7 +150,7 @@ def precision_at(sys: GaussianSystem, t: float, tol: float = 1e-6) -> PrecisionR
     if sys.is_symmetric:
         # invert on the eigenbasis: much better conditioned than inv(Sigma)
         lam, u = np.linalg.eigh(sys.L)
-        phi = _phi(lam, t)
+        phi = sys.noise * _phi(lam, t)
         if np.min(phi) <= 0:
             raise np.linalg.LinAlgError("covariance is singular")
         q = (u / phi) @ u.T
@@ -143,11 +161,7 @@ def precision_at(sys: GaussianSystem, t: float, tol: float = 1e-6) -> PrecisionR
         if ev[0] <= ev[-1] * 1e-14:
             raise np.linalg.LinAlgError("covariance is singular")
         q = np.linalg.inv(sigma)
-    edges = set()
-    for i in range(sys.n):
-        for j in range(i + 1, sys.n):
-            if abs(q[i, j]) > tol:
-                edges.add((sys.labels[i], sys.labels[j]))
+    edges = {(sys.labels[i], sys.labels[j]) for i, j in combinations(range(sys.n), 2) if abs(q[i, j]) > tol}
     return PrecisionResult(q, float(t), frozenset(edges), sys.labels)
 
 
@@ -223,13 +237,13 @@ class StackedCovariance:
         return slice(i * m, (i + 1) * m)
 
 
-def _step_matrices(L: np.ndarray, dt: float, scheme: str, symmetric: bool):
+def _step_matrices(sys: GaussianSystem, dt: float, scheme: str):
     """One-step transition matrix and noise covariance for the chain; the
-    exact noise covariance is int_0^dt e^{Ls} e^{L^T s} ds."""
-    n = L.shape[0]
+    exact noise covariance is sigma^2 int_0^dt e^{Ls} e^{L^T s} ds."""
+    L, n = sys.L, sys.n
     if scheme == "euler":
-        return np.eye(n) + L * dt, dt * np.eye(n)
-    if symmetric:
+        return np.eye(n) + L * dt, (sys.noise * dt) * np.eye(n)
+    if sys.is_symmetric:
         lam, u = np.linalg.eigh(L)
         f = (u * np.exp(lam * dt)) @ u.T
         q = (u * _phi(lam, dt)) @ u.T
@@ -242,7 +256,7 @@ def _step_matrices(L: np.ndarray, dt: float, scheme: str, symmetric: bool):
         e = expm(blk * dt)
         f = expm(L * dt)
         q = e[:n, n:] @ e[:n, :n].T
-    return f, 0.5 * (q + q.T)
+    return f, sys.noise * 0.5 * (q + q.T)
 
 
 def path_covariance(
@@ -254,8 +268,8 @@ def path_covariance(
     """Exact covariance of the discretized path under the chosen stepping scheme.
 
     The chain is X_{k+1} = F_k X_k + xi_k with F_k = I + L*dt (euler) or
-    e^{L*dt} (exact) and Cov(xi_k) = dt*I (euler) or the integrated noise
-    covariance (exact).  Under euler stepping the path density factorizes
+    e^{L*dt} (exact) and Cov(xi_k) = sigma^2*dt*I (euler) or the integrated
+    noise covariance (exact).  Under euler stepping the path density factorizes
     over two-slice neighborhoods, so stacked-precision blocks vanish for
     vertex pairs at graph distance three or more; the exact scheme has a
     dense transition matrix and no such sparsity.  The second moments go
@@ -273,9 +287,10 @@ def path_covariance(
         if v0.shape != (n, n):
             raise ValueError("initial covariance has wrong shape")
 
-    # big[v, k, u, l] = Cov(X_v(t_{k+1}), X_u(t_{l+1})): the vertex-major layout
-    symmetric = sys.is_symmetric
-    steps = [_step_matrices(sys.L, dt, scheme, symmetric) for dt in np.diff(grid)]
+    # big[v, k, u, l] = Cov(X_v(t_{k+1}), X_u(t_{l+1})): the vertex-major layout; one build per step length
+    dts = np.diff(grid).tolist()
+    built = {dt: _step_matrices(sys, dt, scheme) for dt in set(dts)}
+    steps = [built[dt] for dt in dts]
     big = np.zeros((n, m, n, m))
     v = v0
     for k, (f, q) in enumerate(steps):

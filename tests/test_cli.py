@@ -516,3 +516,79 @@ def test_ensemble_ci_scan_config_faults_exit_2(tmp_path, capsys, replicas, grid,
     cfg["options"] = {"ci-scan": {"mode": "ensemble", "feature_times": times}}
     assert main(["ci-scan", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
     assert "config error: ci-scan: " in capsys.readouterr().err
+
+
+SPIN = Path(__file__).resolve().parents[1] / "demos" / "configs" / "spin.json"
+
+
+def test_exact_route_reads_the_configured_model(tmp_path, capsys):
+    # spin.json: drift 0 and sigma 0.5, so X(2) has covariance 0.25 * 2 * I;
+    # its factor-model initial law is left out of the exact route
+    code, _ = run("gaussian", str(SPIN), tmp_path / "out", capsys=capsys)
+    assert code == 0
+    rd = only_run_dir(tmp_path / "out", "gaussian")
+    _, sigma = read_matrix_csv(rd / "covariance.csv")
+    np.testing.assert_allclose(sigma, 0.5 * np.eye(3), rtol=0, atol=1e-15)
+    assert json.loads((rd / "ci_edges.json").read_text()) == []
+    code, _ = run("ci-scan", str(SPIN), tmp_path / "out", capsys=capsys)
+    assert code == 0
+    verdicts = json.loads((only_run_dir(tmp_path / "out", "ci-scan") / "verdicts.json").read_text())
+    assert verdicts["orders"] == {"1": "pass"}  # on a path of 3 no set has an order-2 test
+
+
+@pytest.mark.parametrize("command", ["gaussian", "ci-scan"])
+@pytest.mark.parametrize(
+    "section, spec, words",
+    [
+        ("drift", {"default": "tanh(x)"}, "vertex 1 is not affine in x and y: tanh(x)"),
+        ("drift", {"default": "x*x"}, "vertex 1 is not affine in x and y: x * x"),
+        ("drift", {"default": "nbr_sum(y) - 2*x", "overrides": {"3": "t*x"}}, "vertex 3 is not affine in x and y: t * x"),
+        ("drift", {"default": "runavg(x, 0.5) - x"}, "vertex 1 is not affine in x and y: runavg(x, 0.5) - x"),
+        ("drift", {"default": "x[0]"}, "vertex 1 is not affine in x and y: x[0]"),
+        ("drift", None, "no drift section"),
+        ("diffusion", {"kind": "tanh_diagonal", "params": {"a": [1.0], "b": [0.5]}}, "constant 1x1 diffusion"),
+        ("diffusion", {"kind": "constant", "params": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}, "constant 1x1 diffusion"),
+        ("diffusion", None, "no diffusion section"),
+        ("options", {"gaussian": {"variant": "standard"}}, "options/gaussian"),
+        ("options", {"ci-scan": {"variant": "zero_diagonal"}}, "options/ci-scan"),
+    ],
+    ids=["tanh", "product", "time", "history", "component", "no-drift", "tanh-diagonal", "matrix", "no-diffusion",
+         "gaussian-variant", "ci-scan-variant"],
+)
+def test_exact_route_rejects_what_it_cannot_compile(tmp_path, capsys, command, section, spec, words):
+    cfg = copy.deepcopy(BASE)
+    if spec is None:
+        del cfg[section]
+    else:
+        cfg[section] = spec
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and words in err
+
+
+def test_constant_diffusion_takes_value_or_matrix_not_both(tmp_path, capsys):
+    cfg = copy.deepcopy(BASE)
+    cfg["diffusion"] = {"kind": "constant", "params": {"value": 5.0, "matrix": [[1.0]]}}
+    cfg["replicas"] = 10
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "diffusion section: " in err and "'value'" in err and "'matrix'" in err
+
+
+def test_per_vertex_initial_must_cover_every_vertex(tmp_path, capsys):
+    cfg = copy.deepcopy(BASE)
+    cfg["graph"] = {"kind": "path", "n": 3}
+    cfg["initial"] = {"kind": "per_vertex", "params": {"overrides": {"1": _POINT}}}
+    cfg["replicas"] = 10
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "initial section: no initial law for vertex 2" in capsys.readouterr().err
+    # a nested law covers only what its parent hands it: the override's vertex, or the rest for a default
+    g = path_graph(3)
+    inner = {"kind": "per_vertex", "params": {"overrides": {"2": _POINT}}}
+    law = build_initial({"initial": {"kind": "per_vertex", "params": {"default": _POINT, "overrides": {"2": inner}}}}, g)
+    assert law.sample(2, g, 0).shape == (2, 3, 1)
+    with pytest.raises(ConfigError, match="no initial law for vertex 1"):
+        build_initial({"initial": {"kind": "per_vertex", "params": {"default": inner}}}, g)
+    # on the infinite line the vertex set is known only per truncation level
+    open_default = {"kind": "per_vertex", "params": {"default": {"kind": "per_vertex", "params": {}}}}
+    build_initial({"initial": open_default}, z_line())

@@ -461,3 +461,14 @@ def test_truncated_drift_family_guards():
         truncated_drift_family(parse_drift("x"), path_graph(9, root=5), 3)
     with pytest.raises(ValueError):
         truncated_drift_family(parse_drift("x"), path_graph(9), 4)
+
+
+AFFINE = ["x", "1", "tanh(2)", "-x", "3*x", "x*3", "x/4", "(1 + 2)*x", "sin(1)*x", "nbr_sum(y)",
+          "nbr_avg(2*y - x)", "x - nbr_avg(y) + 1", "-(x - nbr_sum(y))/4"]
+NOT_AFFINE = ["t", "sin(t)", "t*x", "x*x", "x*nbr_avg(y)", "nbr_sum(y*y)", "tanh(x)", "clamp(-1, 1)(x)",
+              "lag(x, 1)", "runavg(x, t)", "runmax_norm(x)", "x[0]", "1/2*x + x[0]"]
+
+
+def test_affine_subset():
+    for text in AFFINE + NOT_AFFINE:
+        assert parse_drift(text).ast.affine() == (text in AFFINE), text

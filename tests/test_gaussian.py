@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from netdiff.coefficients import ConstantDiffusion, DriftTable
+from netdiff.engine import simulate
 from netdiff.gaussian import (
     build_linear_system,
     conditional_covariance,
     covariance_at,
+    linear_system,
     matrix_csv,
     path_covariance,
     path_precision_blocks,
@@ -12,7 +17,16 @@ from netdiff.gaussian import (
     precision_edges_json,
     GaussianSystem,
 )
-from netdiff.graphs import Graph, complete_graph, graph_distance, path_graph
+from netdiff.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    graph_distance,
+    grid_graph,
+    path_graph,
+    regular_tree,
+)
+from netdiff.initials import PointMass
 
 
 def p5_standard():
@@ -32,11 +46,9 @@ def test_build_linear_system_p5():
         dtype=float,
     )
     np.testing.assert_array_equal(sys.L, expected)
-    assert sys.variant == "standard"
     assert sys.labels == (1, 2, 3, 4, 5)
 
     zd = build_linear_system(path_graph(5), 0.0)
-    assert zd.variant == "zero_diagonal"
     np.testing.assert_array_equal(np.diag(zd.L), np.zeros(5))
 
     k1 = build_linear_system(complete_graph(1), -2.0)
@@ -70,16 +82,18 @@ def test_covariance_zero_time_and_negative():
 
 
 def test_covariance_quadrature_agrees_with_closed_form():
-    sys = p5_standard()
-    a = covariance_at(sys, 2.0).sigma
-    b = covariance_at(sys, 2.0, method="quadrature").sigma
-    assert np.abs(a - b).max() < 1e-8
+    for noise in (1.0, 0.3):
+        sys = dataclasses.replace(p5_standard(), noise=noise)
+        a = covariance_at(sys, 2.0).sigma
+        b = covariance_at(sys, 2.0, method="quadrature").sigma
+        assert np.abs(a - b).max() < 1e-8
+    assert np.abs(a - 0.3 * covariance_at(p5_standard(), 2.0).sigma).max() < 1e-15
 
 
 def test_covariance_nonsymmetric_closed_form_vs_quadrature():
     rng = np.random.default_rng(3)
     L = rng.normal(size=(4, 4)) * 0.4 - np.eye(4)
-    sys = GaussianSystem(L, ("a", "b", "c", "d"))
+    sys = GaussianSystem(L, ("a", "b", "c", "d"), noise=2.5)
     a = covariance_at(sys, 1.5).sigma
     b = covariance_at(sys, 1.5, method="quadrature").sigma
     assert np.abs(a - b).max() < 1e-9
@@ -94,11 +108,12 @@ def test_covariance_psd_and_symmetric():
 
 
 def test_precision_is_inverse():
-    sys = p5_standard()
-    for t in (0.5, 1.0, 2.0, 5.0):
-        s = covariance_at(sys, t).sigma
-        q = precision_at(sys, t).q
-        assert np.abs(q @ s - np.eye(5)).max() < 1e-8
+    for noise in (1.0, 0.3):
+        sys = dataclasses.replace(p5_standard(), noise=noise)
+        for t in (0.5, 1.0, 2.0, 5.0):
+            s = covariance_at(sys, t).sigma
+            q = precision_at(sys, t).q
+            assert np.abs(q @ s - np.eye(5)).max() < 1e-8
 
 
 def test_precision_complete_graph_at_t2():
@@ -246,6 +261,43 @@ def test_monte_carlo_euler_chain_agrees_with_stacked_covariance():
     flat = paths.reshape(reps, n * m)
     emp = np.cov(flat, rowvar=False, bias=True)
     assert np.abs(emp - stacked.matrix).max() < 0.02
+
+
+# ------------------------------------------------------- the configured model
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(6), grid_graph(3, 4), cycle_graph(5), regular_tree(2, 3)], ids=["path", "grid", "cycle", "tree"]
+)
+def test_linear_system_compiles_the_standard_drift_bit_for_bit(g):
+    sys = linear_system(g, DriftTable.from_strings("nbr_sum(y) - 2*x"), ConstantDiffusion([[1.0]]))
+    assert sys.L.tobytes() == build_linear_system(g, -2.0).L.tobytes()
+    assert sys.labels == g.vertices and sys.noise == 1.0
+
+
+# a constant offset, a neighbour average and an override that scales, divides and negates
+AFFINE = DriftTable.from_strings("0.5*nbr_avg(y) - 1.5*x + 1", {2: "-(x - nbr_sum(y))/4 + 2*(3*0.1)"})
+
+
+def test_linear_system_reads_affine_drifts_and_the_noise():
+    sys = linear_system(path_graph(3), AFFINE, ConstantDiffusion([[0.7]]))
+    np.testing.assert_allclose(sys.L, [[-1.5, 0.5, 0.0], [0.25, -0.25, 0.25], [0.0, 0.5, -1.5]], atol=1e-15)
+    assert sys.noise == 0.7**2
+
+
+def test_stacked_covariance_of_the_configured_model_matches_an_euler_ensemble():
+    # sigma = 0.7 and an offset, which moves only the mean; each empirical
+    # covariance entry must lie within 5 Gaussian standard errors
+    g = grid_graph(2, 3)
+    drift = DriftTable.from_strings("0.5*nbr_avg(y) - 1.5*x + 1", {(0, 1): "-(x - nbr_sum(y))/4"})
+    diff = ConstantDiffusion([[0.7]])
+    grid, reps = np.linspace(0.0, 1.0, 5), 100_000
+    stacked = path_covariance(linear_system(g, drift, diff), grid, scheme="euler").matrix
+    ens = simulate(g, drift, diff, PointMass(0.0), grid, reps, seed=3)
+    emp = np.cov(ens.values[:, :, 1:, 0].reshape(reps, -1), rowvar=False, bias=True)
+    var = np.diag(stacked)
+    se = np.sqrt((np.outer(var, var) + stacked**2) / reps)
+    assert np.all(np.abs(emp - stacked) <= 5 * se)
 
 
 def random_tree_graph(rng, n):
