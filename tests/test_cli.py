@@ -3,6 +3,7 @@
 import argparse
 import copy
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,7 +13,16 @@ import numpy as np
 import pytest
 
 from netdiff.cli import build_parser, main
-from netdiff.config import COMMANDS, ConfigError, build_graph, build_initial
+from netdiff.config import (
+    COMMANDS,
+    ConfigError,
+    build_diffusion,
+    build_drift,
+    build_graph,
+    build_grid,
+    build_initial,
+)
+from netdiff.engine import load_ensemble, save_ensemble, simulate
 from netdiff.graphs import path_graph, z_line
 
 BASE = {
@@ -142,6 +152,36 @@ def test_simulate_artifacts_deterministic(tmp_path, capsys):
     assert manifest["config_hash"].startswith(da.name.split("-", 1)[1])
 
 
+def test_manifest_lists_only_this_runs_artifacts(tmp_path, capsys):
+    path = write_config(tmp_path, BASE)
+    assert run("graph", path, tmp_path / "out", capsys=capsys)[0] == 0
+    rd = only_run_dir(tmp_path / "out", "graph")
+    (rd / "notes.txt").write_text("kept by hand\n")
+    assert run("graph", path, tmp_path / "out", capsys=capsys)[0] == 0
+    manifest = json.loads((rd / "manifest.json").read_text())
+    assert [a["name"] for a in manifest["artifacts"]] == ["graph.txt", "report.json"]
+
+
+def test_simulate_save_paths(tmp_path, capsys):
+    cfg = copy.deepcopy(BASE)
+    cfg["replicas"] = 20
+    cfg["options"] = {"simulate": {"save_paths": True}}
+    code, _ = run("simulate", write_config(tmp_path, cfg), tmp_path / "out", capsys=capsys)
+    assert code == 0
+    rd = only_run_dir(tmp_path / "out", "simulate")
+    manifest = json.loads((rd / "manifest.json").read_text())
+    assert [a["name"] for a in manifest["artifacts"]] == ["paths.bin", "summary.csv"]
+    blob = (rd / "paths.bin").read_bytes()
+    assert manifest["artifacts"][0]["sha256"] == hashlib.sha256(blob).hexdigest()
+    g = build_graph(cfg)
+    ens = simulate(g, build_drift(cfg, g), build_diffusion(cfg), build_initial(cfg, g), build_grid(cfg), 20, 42)
+    save_ensemble(tmp_path / "direct.bin", ens)
+    assert blob == (tmp_path / "direct.bin").read_bytes()
+    back = load_ensemble(rd / "paths.bin")
+    np.testing.assert_array_equal(back.values, ens.values)
+    assert back.labels == ens.labels and back.seed == 42
+
+
 def test_seed_and_replica_overrides(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     cfg["grid"] = {"t_max": 1.0, "steps": 8}
@@ -210,6 +250,28 @@ def test_ci_scan_expectations(tmp_path, capsys):
     cfg["options"] = {"ci-scan": {"expect": {"1": "pass"}}}
     code, _ = run("ci-scan", write_config(tmp_path, cfg, "c2.json"), tmp_path / "out2", capsys=capsys)
     assert code == 1
+
+
+def test_ci_scan_reports_an_order_with_no_testable_set_as_vacuous(tmp_path, capsys):
+    # on a path of 3 every vertex lies within distance 2 of every other, so order 2 has no set to test
+    cfg = copy.deepcopy(BASE)
+    cfg["graph"] = {"kind": "path", "n": 3}
+    cfg["options"] = {"ci-scan": {"expect": {"1": "fail", "2": "pass"}}}
+    code, text = run("ci-scan", write_config(tmp_path, cfg), tmp_path / "out", capsys=capsys)
+    assert code == 0
+    assert "order 2: pass (0 sets)" in text
+    verdicts = json.loads((only_run_dir(tmp_path / "out", "ci-scan") / "verdicts.json").read_text())
+    assert verdicts["orders"] == {"1": "fail", "2": "pass"}
+
+
+def test_ci_scan_has_no_substeps_option(tmp_path, capsys):
+    cfg = copy.deepcopy(BASE)
+    cfg["grid"] = {"t_max": 1.0, "steps": 2}
+    cfg["replicas"] = 500
+    cfg["options"] = {"ci-scan": {"mode": "ensemble", "substeps": 2}}
+    assert main(["ci-scan", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "options/ci-scan" in err and "substeps" in err
 
 
 def test_inconclusive_ensemble_reports_are_strict_json(tmp_path, capsys):
@@ -353,6 +415,26 @@ def test_exit_code_3_on_explosion(tmp_path, capsys):
     code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command, section, spec",
+    [
+        ("simulate", "drift", {"default": "runavg(x, 0.5) - x"}),
+        ("simulate", "initial", {"kind": "point", "params": {"value": [1.0, 2.0]}}),
+        ("gaussian", "options", {"gaussian": {"conditionals": [{"target": [1, 2], "given": [2]}]}}),
+    ],
+    ids=["history-drift-substeps", "point-dimension", "overlapping-conditional"],
+)
+def test_config_faults_found_by_the_library_exit_2_and_write_nothing(tmp_path, capsys, command, section, spec):
+    cfg = copy.deepcopy(BASE)
+    cfg["replicas"] = 10
+    cfg["options"] = {"simulate": {"substeps": 2}}
+    cfg[section] = spec
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {command}: ")
+    assert not out.exists()
 
 
 def test_drift_overrides_reach_the_engine(tmp_path, capsys):
@@ -533,7 +615,7 @@ def test_exact_route_reads_the_configured_model(tmp_path, capsys):
     code, _ = run("ci-scan", str(SPIN), tmp_path / "out", capsys=capsys)
     assert code == 0
     verdicts = json.loads((only_run_dir(tmp_path / "out", "ci-scan") / "verdicts.json").read_text())
-    assert verdicts["orders"] == {"1": "pass"}  # on a path of 3 no set has an order-2 test
+    assert verdicts["orders"] == {"1": "pass", "2": "pass"}  # order 2 vacuous: no set on a path of 3 has one
 
 
 @pytest.mark.parametrize("command", ["gaussian", "ci-scan"])
