@@ -1,13 +1,17 @@
 """Command-line front end: configuration-driven experiments with reproducible artifacts.
 
-Every run writes its outputs under ``<out>/<command>-<hash>`` where the hash
-is taken over the effective configuration, so identical inputs produce
-identical artifact bytes.  A ``manifest.json`` lists each artifact with its
-checksum; wall-clock timestamps live only in the ``run.log`` sidecar, which
-the manifest excludes.
+Each command is a pure computation: it returns its verdict, its report lines
+and its artifacts (file name -> text or bytes) and touches no file.  Only
+when it returns (exit 0 or 1) does `main` write the run directory
+``<out>/<command>-<hash>``, where the hash is taken over the effective
+configuration, so identical inputs produce identical artifact bytes.  Its
+``manifest.json`` lists exactly that run's artifacts with their checksums;
+wall-clock timestamps live only in the ``run.log`` sidecar, which the
+manifest excludes.  A command that raises writes nothing.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 configuration rejected,
-3 numerical failure.
+Exit codes: 0 all checks passed, 1 a check failed, 2 configuration rejected
+(a fault the config alone decides, including an input the library rejects
+with ``ValueError``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from .config import (
 )
 from .engine import (
     SimulationError,
+    _ensemble_bytes,
     ensemble_summary_csv,
     girsanov_weights,
-    save_ensemble,
     simulate,
     simulate_driftless,
     truncation_convergence,
@@ -59,8 +63,8 @@ from .graphs import InfiniteGraph, augmented_truncation, boundary, boundary2, cl
 from .graphs import _graph_to_json, _label_to_json
 from .independence import mrf_order_scan, order_summary, reports_to_csv, reports_to_json
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _require_finite(g, command):
@@ -86,14 +90,10 @@ def _ensemble_inputs(cfg, g):
 
 def _linear_system(cfg, g):
     """The exact route's model: the config's drift and diffusion compiled to L and sigma^2."""
-    drift, diff = build_drift(cfg, g), build_diffusion(cfg)
-    try:
-        return linear_system(g, drift, diff)
-    except ValueError as exc:  # a drift outside the affine subset, or a non-constant diffusion
-        raise ConfigError(f"exact route: {exc}") from exc
+    return linear_system(g, build_drift(cfg, g), build_diffusion(cfg))
 
 
-def cmd_graph(cfg, opts, run_dir):
+def cmd_graph(cfg, opts):
     g = build_graph(cfg)
     report = {}
     lines = []
@@ -134,22 +134,22 @@ def cmd_graph(cfg, opts, run_dir):
             },
         }
     )
-    (run_dir / "graph.txt").write_text(format_edge_list(g), encoding="utf-8")
-    _write_json(run_dir / "report.json", report)
     lines.insert(0, f"set {list(a)}: boundary {list(b1)}, boundary2 {list(b2)}")
     lines.append(f"cliques of order {order}: {len(cls)}")
-    return True, lines
+    return True, lines, {"graph.txt": format_edge_list(g), "report.json": _json_text(report)}
 
 
-def cmd_gaussian(cfg, opts, run_dir):
+def cmd_gaussian(cfg, opts):
     g = _require_finite(build_graph(cfg), "gaussian")
     sys_ = _linear_system(cfg, g)
     t = float(opts.get("t", 2.0))
     cov = covariance_at(sys_, t)
     prec = precision_at(sys_, t, tol=float(opts.get("precision_tol", 1e-6)))
-    (run_dir / "covariance.csv").write_text(matrix_csv(cov.sigma, cov.labels), encoding="utf-8")
-    (run_dir / "precision.csv").write_text(matrix_csv(prec.q, prec.labels), encoding="utf-8")
-    (run_dir / "ci_edges.json").write_text(precision_edges_json(prec) + "\n", encoding="utf-8")
+    artifacts = {
+        "covariance.csv": matrix_csv(cov.sigma, cov.labels),
+        "precision.csv": matrix_csv(prec.q, prec.labels),
+        "ci_edges.json": precision_edges_json(prec) + "\n",
+    }
     lines = [
         f"linear system on {len(cov.labels)} vertices at t={t}, noise variance {sys_.noise:g}",
         f"covariance method: {cov.method}; precision edges: {len(prec.ci_edges)}",
@@ -159,26 +159,26 @@ def cmd_gaussian(cfg, opts, run_dir):
         given = resolve_vertices(g, spec["given"])
         cm = conditional_covariance(cov, target, given)
         name = f"conditional_{i}.csv"
-        (run_dir / name).write_text(matrix_csv(cm, target), encoding="utf-8")
+        artifacts[name] = matrix_csv(cm, target)
         lines.append(f"{name}: cov of {list(target)} given {list(given)}")
-    return True, lines
+    return True, lines, artifacts
 
 
-def cmd_simulate(cfg, opts, run_dir):
+def cmd_simulate(cfg, opts):
     g = _require_finite(build_graph(cfg), "simulate")
     drift, diff, init, replicas = _ensemble_inputs(cfg, g)
     ens = simulate(g, drift, diff, init, build_grid(cfg), replicas, cfg["seed"], substeps=opts.get("substeps", 1))
-    (run_dir / "summary.csv").write_text(ensemble_summary_csv(ens), encoding="utf-8")
+    artifacts = {"summary.csv": ensemble_summary_csv(ens)}
     if opts.get("save_paths", False):
-        save_ensemble(run_dir / "paths.bin", ens)
+        artifacts["paths.bin"] = _ensemble_bytes(ens)
     lines = [
         f"simulated {ens.n_replicas} replicas on {len(ens.labels)} vertices, "
         f"{len(ens.grid)} stored times, seed {cfg['seed']}"
     ]
-    return True, lines
+    return True, lines, artifacts
 
 
-def cmd_girsanov_check(cfg, opts, run_dir):
+def cmd_girsanov_check(cfg, opts):
     g = _require_finite(build_graph(cfg), "girsanov-check")
     drift, diff, init, replicas = _ensemble_inputs(cfg, g)
     if replicas < 2:
@@ -193,23 +193,13 @@ def cmd_girsanov_check(cfg, opts, run_dir):
         # identical weights (e.g. zero drift): exactly one passes, anything else fails
         z = 0.0 if mean == 1.0 else None
     ok = z is not None and z <= 3.0
-    _write_json(
-        run_dir / "weights.json",
-        {
-            "t": w.t,
-            "replicas": int(w.weights.size),
-            "mean": mean,
-            "stderr": se,
-            "z": z,
-            "pass": ok,
-        },
-    )
+    report = {"t": w.t, "replicas": int(w.weights.size), "mean": mean, "stderr": se, "z": z, "pass": ok}
     spread = "no spread" if z is None else f"{z:.2f} sigma"
     lines = [f"weight mean {mean:.6f} vs 1 at t={w.t} ({spread}): {'PASS' if ok else 'FAIL'}"]
-    return ok, lines
+    return ok, lines, {"weights.json": _json_text(report)}
 
 
-def cmd_ci_scan(cfg, opts, run_dir):
+def cmd_ci_scan(cfg, opts):
     g = _require_finite(build_graph(cfg), "ci-scan")
     grid = build_grid(cfg)
     mode = opts.get("mode", "exact")
@@ -223,19 +213,18 @@ def cmd_ci_scan(cfg, opts, run_dir):
         trust = {"condition": source.condition}
     else:
         drift, diff, init, replicas = _ensemble_inputs(cfg, g)
-        ens = simulate(g, drift, diff, init, grid, replicas, cfg["seed"], substeps=opts.get("substeps", 1))
+        ens = simulate(g, drift, diff, init, grid, replicas, cfg["seed"])
         times, alpha = opts.get("feature_times"), float(opts.get("alpha", 0.01))
-        try:
-            reports = mrf_order_scan(g, ens, orders=orders, sets=sets, feature_grid=times, alpha=alpha)
-        except np.linalg.LinAlgError:
-            raise
-        except ValueError as exc:  # too few replicas for the features, or a feature time off the grid
-            raise ConfigError(f"ci-scan: {exc}") from exc
+        reports = mrf_order_scan(g, ens, orders=orders, sets=sets, feature_grid=times, alpha=alpha)
         trust = {}
-    summary = order_summary(reports)
-    (run_dir / "reports.json").write_text(reports_to_json(reports) + "\n", encoding="utf-8")
-    (run_dir / "summary.csv").write_text(reports_to_csv(reports), encoding="utf-8")
-    _write_json(run_dir / "verdicts.json", {"orders": {str(k): v for k, v in summary.items()}, **trust})
+    # an order with no testable set holds vacuously
+    found = order_summary(reports)
+    summary = {k: found.get(k, "pass") for k in sorted(set(orders))}
+    artifacts = {
+        "reports.json": reports_to_json(reports) + "\n",
+        "summary.csv": reports_to_csv(reports),
+        "verdicts.json": _json_text({"orders": {str(k): v for k, v in summary.items()}, **trust}),
+    }
     lines = [f"order {k}: {v} ({sum(1 for r in reports if r.order == k)} sets)" for k, v in summary.items()]
     expect = opts.get("expect")
     ok = True
@@ -245,10 +234,10 @@ def cmd_ci_scan(cfg, opts, run_dir):
             if got != want:
                 ok = False
                 lines.append(f"order {key}: expected {want}, got {got}")
-    return ok, lines
+    return ok, lines, artifacts
 
 
-def cmd_approx(cfg, opts, run_dir):
+def cmd_approx(cfg, opts):
     g = build_graph(cfg)
     if not isinstance(g, InfiniteGraph):
         raise ConfigError("approx needs the z_line graph")
@@ -257,41 +246,34 @@ def cmd_approx(cfg, opts, run_dir):
         raise ConfigError("approx needs drift.default")
     window = sorted(opts["window"])
     levels = sorted(opts.get("levels", [4, 6, 8]))
-    try:
-        table = truncation_convergence(
-            g,
-            drift.default,
-            diff,
-            init,
-            window,
-            float(opts.get("t", 1.0)),
-            levels,
-            replicas,
-            cfg["seed"],
-            steps=opts.get("steps", 64),
-            substeps=opts.get("substeps", 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"approx: {exc}") from exc
+    table = truncation_convergence(
+        g,
+        drift.default,
+        diff,
+        init,
+        window,
+        float(opts.get("t", 1.0)),
+        levels,
+        replicas,
+        cfg["seed"],
+        steps=opts.get("steps", 64),
+        substeps=opts.get("substeps", 1),
+    )
     rows = list(table)
     ok = rows[-1].energy_distance < rows[0].energy_distance
-    (run_dir / "truncation.csv").write_text(table.to_csv(), encoding="utf-8")
-    _write_json(
-        run_dir / "trend.json",
-        {
-            "levels": [r.n for r in rows],
-            "energy_distance": [r.energy_distance for r in rows],
-            "ks_max": [r.ks_max for r in rows],
-            "points": [r.points for r in rows],
-            "decreasing_overall": bool(ok),
-        },
-    )
+    trend = {
+        "levels": [r.n for r in rows],
+        "energy_distance": [r.energy_distance for r in rows],
+        "ks_max": [r.ks_max for r in rows],
+        "points": [r.points for r in rows],
+        "decreasing_overall": bool(ok),
+    }
     lines = [f"n={r.n}: energy distance {r.energy_distance:.6g}, ks {r.ks_max:.4f}" for r in rows]
     lines.append(f"trend n={rows[0].n} -> n={rows[-1].n}: {'PASS' if ok else 'FAIL'}")
-    return bool(ok), lines
+    return bool(ok), lines, {"truncation.csv": table.to_csv(), "trend.json": _json_text(trend)}
 
 
-def cmd_hc_lab(cfg, opts, run_dir):
+def cmd_hc_lab(cfg, opts):
     from .discrete import (
         _MAX_TABLE,
         check_mrf_bruteforce,
@@ -325,17 +307,14 @@ def cmd_hc_lab(cfg, opts, run_dir):
             kern = conditional_specification(model, a)
             max_kernel = max(max_kernel, kern.max_discrepancy)
     ok = max_violation <= 1e-10 and max_roundtrip <= 1e-10 and max_kernel <= 1e-10
-    _write_json(
-        run_dir / "hc_report.json",
-        {
-            "models": n_models,
-            "k": k,
-            "max_mrf2_violation": max_violation,
-            "max_factorization_roundtrip_tv": max_roundtrip,
-            "max_kernel_discrepancy": max_kernel,
-            "pass": bool(ok),
-        },
-    )
+    report = {
+        "models": n_models,
+        "k": k,
+        "max_mrf2_violation": max_violation,
+        "max_factorization_roundtrip_tv": max_roundtrip,
+        "max_kernel_discrepancy": max_kernel,
+        "pass": bool(ok),
+    }
     lines = [
         f"{n_models} random models with k={k} on {len(g.vertices)} vertices",
         f"max second-order violation {max_violation:.3e}",
@@ -343,7 +322,7 @@ def cmd_hc_lab(cfg, opts, run_dir):
         f"max conditional-kernel discrepancy {max_kernel:.3e}",
         f"{'PASS' if ok else 'FAIL'}",
     ]
-    return bool(ok), lines
+    return bool(ok), lines, {"hc_report.json": _json_text(report)}
 
 
 def _load_reference_table() -> dict:
@@ -421,21 +400,19 @@ def _run_golden_checks() -> list[dict]:
     return results
 
 
-def cmd_reproduce_paper(cfg, opts, run_dir):
+def cmd_reproduce_paper(cfg, opts):
     results = _run_golden_checks()
-    _write_json(run_dir / "reproduce.json", results)
     rows = ["name,kind,observed,limit,pass"]
     rows += [
         f"{r['name']},{r['kind']},{r['observed']:.6e},{r['limit']:.1e},{r['pass']}" for r in results
     ]
-    (run_dir / "reproduce.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     lines = [
         f"{'PASS' if r['pass'] else 'FAIL'}  {r['name']:<28} observed {r['observed']:.3e} (limit {r['limit']:.1e})"
         for r in results
     ]
     ok = all(r["pass"] for r in results)
     lines.append(f"{sum(r['pass'] for r in results)}/{len(results)} golden checks passed")
-    return ok, lines
+    return ok, lines, {"reproduce.json": _json_text(results), "reproduce.csv": "\n".join(rows) + "\n"}
 
 
 # name -> (function, help); config.OPTION_SCHEMAS holds each command's options under the same name
@@ -470,16 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(run_dir: Path, command: str, digest: str) -> None:
-    artifacts = []
-    for path in sorted(run_dir.iterdir()):
-        if path.name in ("manifest.json", "run.log") or path.is_dir():
-            continue
-        data = path.read_bytes()
-        artifacts.append(
-            {"name": path.name, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-        )
-    _write_json(run_dir / "manifest.json", {"command": command, "config_hash": digest, "artifacts": artifacts})
+def _write_run(run_dir: Path, command: str, digest: str, artifacts: dict) -> None:
+    """Write exactly these artifacts and a manifest of their checksums, in name order."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    listed = []
+    for name in sorted(artifacts):
+        data = artifacts[name]
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        (run_dir / name).write_bytes(data)
+        listed.append({"name": name, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()})
+    manifest = {"command": command, "config_hash": digest, "artifacts": listed}
+    (run_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
 def _append_log(run_dir: Path, command: str, config_path: str) -> None:
@@ -491,6 +470,7 @@ def _append_log(run_dir: Path, command: str, config_path: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = args.command
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -501,19 +481,22 @@ def main(argv=None) -> int:
             if args.replicas < 1:
                 raise ConfigError("--replicas must be positive")
             cfg["replicas"] = args.replicas
-        opts = validate_options(args.command, cfg)
-        digest = config_hash(cfg, args.command)
-        run_dir = Path(args.out) / f"{args.command}-{digest[:12]}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        ok, lines = _COMMANDS[args.command][0](cfg, opts, run_dir)
+        opts = validate_options(command, cfg)
+        digest = config_hash(cfg, command)
+        ok, lines, artifacts = _COMMANDS[command][0](cfg, opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, np.linalg.LinAlgError, FloatingPointError, OverflowError, ValueError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (SimulationError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(run_dir, args.command, digest)
-    _append_log(run_dir, args.command, args.config)
+    except ValueError as exc:  # the library rejecting an input, and every input comes from the config
+        print(f"config error: {command}: {exc}", file=sys.stderr)
+        return 2
+    run_dir = Path(args.out) / f"{command}-{digest[:12]}"
+    _write_run(run_dir, command, digest, artifacts)
+    _append_log(run_dir, command, args.config)
     for line in lines:
         print(line)
     print(f"artifacts: {run_dir}")

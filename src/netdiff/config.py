@@ -156,7 +156,6 @@ OPTION_SCHEMAS = {
             "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
             "feature_times": {"type": "array", "items": {"type": "number"}, "minItems": 1},
             "sets": {"type": "array", "items": _VERTEX_LIST, "minItems": 1},
-            "substeps": {"type": "integer", "minimum": 1},
             "expect": {
                 "type": "object",
                 "patternProperties": {"^[12]$": {"enum": ["pass", "fail", "inconclusive"]}},

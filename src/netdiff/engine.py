@@ -483,12 +483,8 @@ def entropy_bound_estimate(ens: PathEnsemble, drift, diffusion, vertices, t) -> 
 _MAGIC = b"NDPE\x01"
 
 
-def save_ensemble(path, ens: PathEnsemble) -> None:
-    """Binary container: magic, u32 header length, JSON header, f64 data.
-
-    Data is little-endian float64 in (replica, vertex, time, component)
-    order, exactly the in-memory layout.
-    """
+def _ensemble_bytes(ens: PathEnsemble) -> bytearray:
+    """The container of `save_ensemble`, built with one copy of the values."""
     header = {
         "grid": [float(x) for x in ens.grid],
         **_graph_to_json(ens.graph),
@@ -498,11 +494,21 @@ def save_ensemble(path, ens: PathEnsemble) -> None:
         "shape": list(ens.values.shape),
     }
     blob = json.dumps(header).encode("utf-8")
+    head = _MAGIC + struct.pack("<I", len(blob)) + blob
+    out = bytearray(len(head) + 8 * ens.values.size)
+    out[: len(head)] = head
+    np.frombuffer(out, dtype="<f8", offset=len(head)).reshape(ens.values.shape)[...] = ens.values
+    return out
+
+
+def save_ensemble(path, ens: PathEnsemble) -> None:
+    """Binary container: magic, u32 header length, JSON header, f64 data.
+
+    Data is little-endian float64 in (replica, vertex, time, component)
+    order, exactly the in-memory layout.
+    """
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(ens.values, dtype="<f8").tobytes())
+        fh.write(_ensemble_bytes(ens))
 
 
 def load_ensemble(path) -> PathEnsemble:
