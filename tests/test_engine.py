@@ -329,6 +329,69 @@ def test_girsanov_factor_locality_is_bitwise():
             assert np.array_equal(full.quadratic_variation[v], local.quadratic_variation[v])
 
 
+def time_major(hist):
+    """A copy of a (..., m, d) history stored with time first, viewed in the same index order."""
+    return np.ascontiguousarray(np.moveaxis(hist, -2, 0)).transpose(*range(1, hist.ndim - 1), 0, hist.ndim - 1)
+
+
+def test_runavg_sum_does_not_depend_on_the_history_layout():
+    # windows of 8 points and more, where numpy's pairwise sum of a
+    # contiguous time axis would differ from an in-order sum
+    rng = np.random.default_rng(4)
+    times = np.linspace(0.0, 1.0, 33)
+    for d in (1, 2):
+        hist = rng.standard_normal((5, 40, times.size, d))
+        assert not np.shares_memory(hist, time_major(hist)) and np.array_equal(hist, time_major(hist))
+        for text in ("runavg(x, t)", "runavg(x, 0.3)"):
+            spec = parse_drift(text)
+            for rows in (None, np.array([3, 1])):
+                own = hist[:, :, -1, :] if rows is None else hist[rows, :, -1, :]
+                got = [
+                    evaluate_vectorized(spec, EvalContext(times[-1], own, times=times, own_hist=h, rows=rows), d)
+                    for h in (hist, time_major(hist))
+                ]
+                assert got[0].tobytes() == got[1].tobytes(), (d, text, rows)
+
+
+def test_every_ensemble_is_stored_time_major(tmp_path):
+    g = grid_graph(3, 3)
+    grid = np.linspace(0.0, 1.0, 5)
+    drift = parse_drift("nbr_avg(y) - x")
+    made = {
+        "simulate": simulate(g, drift, UNIT, NormalInitial(0, 1), grid, 7, seed=2),
+        "simulate_driftless": simulate_driftless(g, UNIT, NormalInitial(0, 1), grid, 7, seed=2),
+        "simulate_truncated": simulate_truncated(z_line(), None, 4, drift, UNIT, PointMass(0.0), grid, 7, seed=2),
+    }
+    made["restrict"] = made["simulate"].restrict([(0, 0), (0, 1), (1, 1)])
+    save_ensemble(tmp_path / "ens.bin", made["simulate"])
+    made["load_ensemble"] = load_ensemble(tmp_path / "ens.bin")
+    for name, ens in made.items():
+        assert ens.values.transpose(2, 1, 0, 3).flags.c_contiguous, name
+        assert ens.values.transpose(2, 1, 0, 3).flags.writeable, name
+
+
+def test_history_weights_survive_save_load_and_restrict(tmp_path):
+    g = grid_graph(3, 3)
+    grid = np.linspace(0.0, 1.0, 33)
+    drift = parse_drift("0.3*(nbr_avg(y) - runavg(x, t)) + 0.2*runavg(x, 0.3)")
+    ref = simulate_driftless(g, UNIT, NormalInitial(0, 1), grid, 50, seed=12)
+    ens = simulate(g, drift, UNIT, NormalInitial(0, 1), grid, 50, seed=12)
+    w = girsanov_weights(ref, drift, UNIT)
+    bound = entropy_bound_estimate(ens, drift, UNIT, g.vertices, 1.0)
+    save_ensemble(tmp_path / "ref.bin", ref)
+    save_ensemble(tmp_path / "ens.bin", ens)
+    back = girsanov_weights(load_ensemble(tmp_path / "ref.bin"), drift, UNIT)
+    assert w.weights.tobytes() == back.weights.tobytes()
+    assert all(np.array_equal(w.m[v], back.m[v]) and np.array_equal(w.quadratic_variation[v], back.quadratic_variation[v]) for v in g.vertices)
+    assert entropy_bound_estimate(load_ensemble(tmp_path / "ens.bin"), drift, UNIT, g.vertices, 1.0) == bound
+    for v in g.vertices:
+        ball = {v, *g.neighbors(v)}
+        local = girsanov_weights(ref.restrict(ball), drift, UNIT)
+        assert np.array_equal(w.m[v], local.m[v]) and np.array_equal(w.quadratic_variation[v], local.quadratic_variation[v])
+        alone = entropy_bound_estimate(ens, drift, UNIT, [v], 1.0)
+        assert entropy_bound_estimate(ens.restrict(ball), drift, UNIT, [v], 1.0) == alone
+
+
 def test_truncation_covering_the_graph_reproduces_full_simulation():
     g = path_graph(9, root=5)
     grid = np.linspace(0, 1, 9)
