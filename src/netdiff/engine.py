@@ -8,6 +8,11 @@ stream once and re-keys it to every step.  Vertices that share a drift
 text, a diffusion object and a degree form a group, and each step evaluates
 the drift once per group, bitwise as a vertex-by-vertex loop would.
 
+Paths live in a C-contiguous (T, V, R, d) store, so each step's states are
+one block; ``PathEnsemble.values`` is its ``transpose(2, 1, 0, 3)`` view, in
+the index and byte order of ``save_ensemble``.  ``runavg`` sums in time
+order, so no bit depends on the layout.
+
 Girsanov reweighting turns driftless reference ensembles into samples of
 the interacting law; the per-vertex log factors depend only on the vertex
 and its neighbors, and that locality is preserved exactly (bitwise) under
@@ -64,6 +69,7 @@ _KIND_INITIAL = 1
 _KIND_JOINT = 2
 
 _ENERGY_POINTS = 4000  # points of each sample that energy_distance keeps
+_STORE = (2, 1, 0, 3)  # values (R, V, T, d) <-> store (T, V, R, d); its own inverse
 
 
 class SimulationError(RuntimeError):
@@ -104,7 +110,9 @@ def joint_stream(seed) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Simulated trajectories indexed (replica, vertex, time index, component)."""
+    """Simulated trajectories indexed (replica, vertex, time index, component):
+    ``values`` is the ``transpose(2, 1, 0, 3)`` view of a C-contiguous (T, V,
+    R, d) store, one block per grid time, and ``runavg`` sums in time order."""
 
     graph: Graph
     grid: np.ndarray
@@ -142,7 +150,8 @@ class PathEnsemble:
         """Ensemble of the induced subgraph; trajectories copied verbatim."""
         sub = self.graph.subgraph(vertices)
         idx = [self.graph.index(v) for v in sub.vertices]
-        return PathEnsemble(sub, self.grid, self.values[:, idx], self.seed, self.scheme, self.measure)
+        store = np.take(self.values.transpose(_STORE), idx, axis=1)
+        return PathEnsemble(sub, self.grid, store.transpose(_STORE), self.seed, self.scheme, self.measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,21 +223,21 @@ def _drift_along(ens: PathEnsemble, drift, diffusion, vertices, n_steps):
     """Yield (group, k, x, after, b) along the recorded paths, one record per
     (step, group) with drift, for k < n_steps: x (n, R, d) holds the group's
     states at grid index k, after (V, R, d) every state at k + 1, b the drift.
-    Each step's states are copied once, so the groups gather contiguous rows."""
+    Each step's states are copied once, which beat gathering from the store."""
     grid = ens.grid
     hist = ens.values.swapaxes(0, 1)
     plan = [grp for grp in _plan(ens.graph, drift, diffusion, dict.fromkeys(vertices)) if grp.spec is not None]
-    after = np.ascontiguousarray(hist[:, :, 0, :])
+    after = hist[:, :, 0, :].copy()
     for k in range(n_steps):
-        state, after = after, np.ascontiguousarray(hist[:, :, k + 1, :])
+        state, after = after, hist[:, :, k + 1, :].copy()
         for grp in plan:
             x = state[grp.rows]
             yield grp, k, x, after, _drift_at(grp, grid[k], x, state[grp.nbrs.T], grid[: k + 1], hist[:, :, : k + 1, :], ens.dim)
 
 
-def _first_bad(cur, labels, t):
-    bad = ~np.isfinite(cur)
-    r, vi = np.argwhere(bad)[0][:2]
+def _first_bad(block, labels, t):
+    """The first non-finite state of a (V, R, d) block, in (replica, vertex) order."""
+    r, vi = np.argwhere(~np.isfinite(block.swapaxes(0, 1)))[0][:2]
     return SimulationError(int(r), labels[int(vi)], float(t))
 
 
@@ -245,27 +254,27 @@ def _run(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps, measure):
     if any(grp.sigma.d != d for grp in plan):
         raise ValueError("all vertices must share one state dimension")
 
-    values = np.empty((n_replicas, len(g), grid.size, d))
-    values[:, :, 0, :] = mu0.sample(n_replicas, g, seed, d)
-    if not np.all(np.isfinite(values[:, :, 0, :])):
-        raise _first_bad(values[:, :, 0, :], g.vertices, 0.0)
+    store = np.empty((grid.size, len(g), n_replicas, d))
+    store[0] = mu0.sample(n_replicas, g, seed, d).swapaxes(0, 1)
+    if not np.all(np.isfinite(store[0])):
+        raise _first_bad(store[0], g.vertices, 0.0)
 
     # overflow during stepping is handled by the non-finite check below,
     # reported as a SimulationError rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        _step_all(g, grid, values, plan, substeps, seed)
+        _step_all(g, grid, store, plan, substeps, seed)
     scheme = {"kind": "euler_maruyama", "substeps": int(substeps)}
-    return PathEnsemble(g, grid, values, int(seed), scheme, measure)
+    return PathEnsemble(g, grid, store.transpose(_STORE), int(seed), scheme, measure)
 
 
-def _step_all(g, grid, values, plan, substeps, seed):
-    """Fill values[:, :, 1:] by Euler steps on a (V, R, d) state with each group
-    one block of rows: own state, noise and new state are slices."""
+def _step_all(g, grid, store, plan, substeps, seed):
+    """Fill store[1:] of a (T, V, R, d) store by Euler steps on a (V, R, d) state
+    with each group one block of rows: own state, noise and new state are slices."""
     order = np.concatenate([grp.rows for grp in plan])
     block = np.argsort(order)
     bounds = np.cumsum([0] + [grp.rows.size for grp in plan])
-    hist = values.swapaxes(0, 1)
-    cur = np.ascontiguousarray(hist[order, :, 0, :])
+    hist = store.transpose(1, 2, 0, 3)
+    cur = store[0, order]
     z, new = np.empty_like(cur), np.empty_like(cur)
     # the buffers are reused, because fresh multi-MB arrays cost page faults:
     # noise, the next state, and each group's gathered neighbours
@@ -291,9 +300,9 @@ def _step_all(g, grid, values, plan, substeps, seed):
                     dx += _drift_at(grp, t_sub, x, buf, grid[: k + 1], hist[:, :, : k + 1, :], x.shape[-1]) * h
                 np.add(x, dx, out=new[rows])
             cur, new = new, cur
-        hist[order, :, k + 1, :] = cur
-        if not np.all(np.isfinite(values[:, :, k + 1, :])):
-            raise _first_bad(values[:, :, k + 1, :], g.vertices, grid[k + 1])
+        store[k + 1, order] = cur
+        if not np.all(np.isfinite(store[k + 1])):
+            raise _first_bad(store[k + 1], g.vertices, grid[k + 1])
 
 
 def simulate(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps=1) -> PathEnsemble:
@@ -505,7 +514,7 @@ def save_ensemble(path, ens: PathEnsemble) -> None:
     """Binary container: magic, u32 header length, JSON header, f64 data.
 
     Data is little-endian float64 in (replica, vertex, time, component)
-    order, exactly the in-memory layout.
+    order, the index order of ``values``, whatever its memory layout.
     """
     with open(path, "wb") as fh:
         fh.write(_ensemble_bytes(ens))
@@ -519,10 +528,9 @@ def load_ensemble(path) -> PathEnsemble:
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode("utf-8"))
         data = fh.read()
-    shape = tuple(header["shape"])
-    values = np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
+    store = np.frombuffer(data, dtype="<f8").reshape(header["shape"]).transpose(_STORE).astype(float, order="C")
     g = _graph_from_json(header)
-    return PathEnsemble(g, np.asarray(header["grid"], dtype=float), values, header["seed"], header["scheme"], header["measure"])
+    return PathEnsemble(g, np.asarray(header["grid"], dtype=float), store.transpose(_STORE), header["seed"], header["scheme"], header["measure"])
 
 
 def ensemble_summary_csv(ens: PathEnsemble) -> str:
