@@ -96,6 +96,11 @@ def test_girsanov_weights_and_entropy_bound_digests():
 
 
 def test_engine_kernel_digests():
+    """The "runavg(x, t) - x" entry was re-pinned when ensembles moved to a
+    time-major store: runavg now sums its window in time order, one slice at
+    a time, so its summation order no longer depends on the memory layout.
+    Its windows reach 9 points, where numpy's pairwise sum of a contiguous
+    time axis had grouped the terms differently.  No other entry moved."""
     # degrees 2, 3 and 4 plus an isolated vertex, so every degree group,
     # and a group with no neighbours, reaches the stepper
     g4 = grid_graph(4, 4)
@@ -132,7 +137,7 @@ def test_engine_kernel_digests():
         "nbr_avg(tanh(y)) - x": "62d1879439964b276b619410d92118c66d7751f20076e9543114a6f05ea67409",
         "nbr_sum(sin(y)) - lag(x, 0.2) + cos(t)*x": "08d344cd073af20f0fa5829300626b201c66e490990d012557531c955aadb2c9",
         "clamp(-1, 1)(nbr_avg(y*y)) - runmax_norm(x)": "3ddf9286b2fe40c2281cf337fbdcd44a3d57e69d120397d0d04fca811377acba",
-        "runavg(x, t) - x": "bd16e116f62bff6cb6ca11fe564fbb25c0492bb0071497053e9c2330a4aa0de5",
+        "runavg(x, t) - x": "54219ca09d3e7df00296a5198786484616b675ded93a0daae3858429f7d4875a",
         "d2": "374c26a075355753b902787d653f8bd72fa9178c32a1e7d0c3e688b150f76a3e",
         "tanh_diagonal": "df8ecde9505a0b56f6e0922a13fa417984ed9d6c98ca1520f98fa37628ec241e",
         "substeps": "73371e0979de264ad0fc76c61ab72db18ff0f3446ea01ef6093f61cb69c6da64",
