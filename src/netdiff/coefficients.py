@@ -421,10 +421,10 @@ class RunAvg(_History):
         start = int(np.searchsorted(times, lo, side="left"))
         if start >= len(times):
             start = len(times) - 1
-        total = hist[..., start, :].copy()  # in time order, whatever the layout
+        total = hist[..., start, :].copy()  # in time order, so the bits ignore the layout
         for k in range(start + 1, hist.shape[-2]):
             total += hist[..., k, :]
-        return total / (hist.shape[-2] - start)
+        return np.divide(total, hist.shape[-2] - start, out=total)
 
     def ser(self):
         return f"runavg(x, {'t' if self.window is None else _fmt(self.window)})", _ATOM

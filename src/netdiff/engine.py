@@ -8,10 +8,9 @@ stream once and re-keys it to every step.  Vertices that share a drift
 text, a diffusion object and a degree form a group, and each step evaluates
 the drift once per group, bitwise as a vertex-by-vertex loop would.
 
-Paths live in a C-contiguous (T, V, R, d) store, so each step's states are
-one block; ``PathEnsemble.values`` is its ``transpose(2, 1, 0, 3)`` view, in
-the index and byte order of ``save_ensemble``.  ``runavg`` sums in time
-order, so no bit depends on the layout.
+Paths live in a C-contiguous (T, V, R, d) store, one block per step, viewed
+as ``PathEnsemble.values`` by ``transpose(2, 1, 0, 3)``; ``runavg`` sums in
+time order, so no bit depends on the layout.
 
 Girsanov reweighting turns driftless reference ensembles into samples of
 the interacting law; the per-vertex log factors depend only on the vertex
@@ -235,8 +234,7 @@ def _drift_along(ens: PathEnsemble, drift, diffusion, vertices, n_steps):
             yield grp, k, x, after, _drift_at(grp, grid[k], x, state[grp.nbrs.T], grid[: k + 1], hist[:, :, : k + 1, :], ens.dim)
 
 
-def _first_bad(block, labels, t):
-    """The first non-finite state of a (V, R, d) block, in (replica, vertex) order."""
+def _first_bad(block, labels, t):  # block (V, R, d), searched in (replica, vertex) order
     r, vi = np.argwhere(~np.isfinite(block.swapaxes(0, 1)))[0][:2]
     return SimulationError(int(r), labels[int(vi)], float(t))
 
