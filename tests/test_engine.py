@@ -330,8 +330,8 @@ def test_girsanov_factor_locality_is_bitwise():
 
 
 def time_major(hist):
-    """A copy of a (..., m, d) history stored with time first, viewed in the same index order."""
-    return np.ascontiguousarray(np.moveaxis(hist, -2, 0)).transpose(*range(1, hist.ndim - 1), 0, hist.ndim - 1)
+    """A copy of a (V, R, m, d) history stored (m, V, R, d), viewed in the same index order."""
+    return np.ascontiguousarray(hist.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
 
 
 def test_runavg_sum_does_not_depend_on_the_history_layout():
