@@ -11,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from netdiff.cli import build_parser, main
+import netdiff.cli
+from netdiff.cli import build_parser, cmd_girsanov_check, main
+from netdiff.coefficients import parse_drift
 from netdiff.config import (
     COMMANDS,
     ConfigError,
@@ -234,6 +237,51 @@ def test_girsanov_check_zero_drift_demo(tmp_path, capsys):
     # one replica has no standard error at all
     code, _ = run("girsanov-check", str(spin), tmp_path / "one", "--replicas", "1", capsys=capsys)
     assert code == 2
+
+
+CHAIN = Path(__file__).resolve().parents[1] / "demos" / "configs" / "chain.json"
+
+
+def test_girsanov_check_passes_on_heavy_tailed_weights(tmp_path, capsys):
+    # at this seed the raw weights have an ESS near 70 of 10 000 and a mean
+    # 7.75 standard errors below 1, though they are correct; the bounded
+    # bridge identity is what decides
+    code, text = run(
+        "girsanov-check", str(CHAIN), tmp_path / "out", "--seed", "527", "--replicas", "10000", capsys=capsys
+    )
+    assert code == 0
+    assert "PASS" in text
+    weights = strict_json((only_run_dir(tmp_path / "out", "girsanov-check") / "weights.json").read_text())
+    assert weights["pass"] is True and weights["z"] <= 3.0
+    assert abs(weights["mean"] - 1.0) > 3 * weights["stderr"]
+    assert 1.0 <= weights["ess"] < 100.0
+    assert weights["max_log_weight"] > 0.0
+    assert weights["statistic"].startswith("bridge")
+
+
+def test_girsanov_check_calibration():
+    # correct weights: the 3-sigma bridge test rejects at rate 2*sf(3) = 0.0027
+    cfg = json.loads(CHAIN.read_text())
+    runs = 100
+    rejected = 0
+    for seed in range(runs):
+        ok, _, _ = cmd_girsanov_check({**cfg, "seed": seed, "replicas": 400}, {})
+        rejected += not ok
+    assert rejected <= stats.binom.ppf(0.999, runs, 2 * stats.norm.sf(3.0))
+
+
+def test_girsanov_check_rejects_weights_of_a_wrong_drift(tmp_path, capsys, monkeypatch):
+    # the weights use the configured -1.8*x while the law P is simulated with -2*x
+    real = netdiff.cli.simulate
+    law = parse_drift("nbr_sum(y) - 2*x")
+    monkeypatch.setattr(netdiff.cli, "simulate", lambda g, drift, *rest: real(g, law, *rest))
+    cfg = json.loads(CHAIN.read_text())
+    cfg["drift"] = {"default": "nbr_sum(y) - 1.8*x"}
+    code, text = run("girsanov-check", write_config(tmp_path, cfg), tmp_path / "out", "--replicas", "10000", capsys=capsys)
+    assert code == 1
+    assert "FAIL" in text
+    weights = strict_json((only_run_dir(tmp_path / "out", "girsanov-check") / "weights.json").read_text())
+    assert weights["pass"] is False and weights["z"] > 3.0
 
 
 def test_ci_scan_expectations(tmp_path, capsys):
