@@ -25,6 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
 from . import __version__
 from .config import (
@@ -42,6 +43,7 @@ from .config import (
 from .engine import (
     SimulationError,
     _ensemble_bytes,
+    _log_density,
     ensemble_summary_csv,
     girsanov_weights,
     simulate,
@@ -183,19 +185,32 @@ def cmd_girsanov_check(cfg, opts):
     drift, diff, init, replicas = _ensemble_inputs(cfg, g)
     if replicas < 2:
         raise ConfigError("girsanov-check needs at least two replicas for a standard error")
-    ens = simulate_driftless(g, diff, init, build_grid(cfg), replicas, cfg["seed"])
-    w = girsanov_weights(ens, drift, diff)
-    mean = float(w.weights.mean())
-    se = float(w.weights.std(ddof=1) / np.sqrt(w.weights.size))
-    if se > 0:
-        z = abs(mean - 1.0) / se
+    grid, seed = build_grid(cfg), cfg["seed"]
+    w = girsanov_weights(simulate_driftless(g, diff, init, grid, replicas, seed), drift, diff)
+    # one seed: replica r of P shares its label-keyed noise with replica r of P_star
+    log_w = _log_density(simulate(g, drift, diff, init, grid, replicas, seed), drift, diff)[2]
+    # the weights are heavy-tailed, so their mean is not what decides; Bennett's
+    # bridge E_P*[w/(1+w)] = E_P[1/(1+w)] compares bounded iid paired differences
+    bridge = w.weights / (1.0 + w.weights) - expit(-log_w)
+    (mean, se), (b_mean, b_se) = [(float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))) for x in (w.weights, bridge)]
+    if b_se > 0:
+        z = abs(b_mean) / b_se
     else:
-        # identical weights (e.g. zero drift): exactly one passes, anything else fails
-        z = 0.0 if mean == 1.0 else None
+        # identical differences (e.g. zero drift): exactly zero passes, anything else fails
+        z = 0.0 if b_mean == 0.0 else None
     ok = z is not None and z <= 3.0
-    report = {"t": w.t, "replicas": int(w.weights.size), "mean": mean, "stderr": se, "z": z, "pass": ok}
+    u = w.weights / w.weights.max()
+    report = {
+        "t": w.t, "replicas": int(w.weights.size), "mean": mean, "stderr": se,
+        "ess": float(u.sum() ** 2 / (u @ u)), "max_log_weight": float(np.log(w.weights.max())),
+        "statistic": "bridge E_P*[w/(1+w)] - E_P[1/(1+w)]", "bridge_mean": b_mean, "bridge_stderr": b_se,
+        "z": z, "pass": ok,
+    }
     spread = "no spread" if z is None else f"{z:.2f} sigma"
-    lines = [f"weight mean {mean:.6f} vs 1 at t={w.t} ({spread}): {'PASS' if ok else 'FAIL'}"]
+    lines = [
+        f"weight mean {mean:.6f} at t={w.t}, ESS {report['ess']:.1f} of {w.weights.size}",
+        f"bridge E_P*[w/(1+w)] - E_P[1/(1+w)] = {b_mean:.3g} ({spread}): {'PASS' if ok else 'FAIL'}",
+    ]
     return ok, lines, {"weights.json": _json_text(report)}
 
 

@@ -341,25 +341,32 @@ def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
     """
     if ens.measure != "P_star":
         raise ValueError(f"expected a P_star ensemble, got measure {ens.measure!r}")
+    m, qv, log_w = _log_density(ens, drift, diffusion)
+    weights = np.exp(log_w)
+    if not np.all(np.isfinite(weights)):
+        bad = int(np.flatnonzero(~np.isfinite(weights))[0])
+        raise SimulationError(bad, None, float(ens.grid[-1]))
+    g = ens.graph
+    return GirsanovWeights(weights, dict(zip(g.vertices, m)), dict(zip(g.vertices, qv)), float(ens.grid[-1]))
+
+
+def _log_density(ens: PathEnsemble, drift, diffusion):
+    """Per-vertex M_v and [M_v] (V, R) of the Girsanov density along the recorded
+    paths of any ensemble, and the log-weights sum_v (M_v - [M_v]/2) (R,)."""
     if ens.scheme.get("substeps", 1) != 1:
         raise ValueError("weights need the full path: simulate with substeps=1")
-    g = ens.graph
     grid = ens.grid
-    m = np.zeros((len(g), ens.n_replicas))
+    m = np.zeros((len(ens.graph), ens.n_replicas))
     qv = np.zeros_like(m)
-    for grp, k, x, after, b in _drift_along(ens, drift, diffusion, g.vertices, grid.size - 1):
+    for grp, k, x, after, b in _drift_along(ens, drift, diffusion, ens.labels, grid.size - 1):
         dx = after[grp.rows] - x
         m[grp.rows] += np.sum(grp.sigma.sigma_sigmaT_inv_vec(x, b) * dx, axis=-1)
         s = grp.sigma.sigma_inv_vec(x, b)
         qv[grp.rows] += np.sum(s * s, axis=-1) * (grid[k + 1] - grid[k])
     log_w = np.zeros(ens.n_replicas)
-    for i in range(len(g)):
+    for i in range(len(m)):
         log_w = log_w + (m[i] - 0.5 * qv[i])
-    weights = np.exp(log_w)
-    if not np.all(np.isfinite(weights)):
-        bad = int(np.flatnonzero(~np.isfinite(weights))[0])
-        raise SimulationError(bad, None, float(grid[-1]))
-    return GirsanovWeights(weights, dict(zip(g.vertices, m)), dict(zip(g.vertices, qv)), float(grid[-1]))
+    return m, qv, log_w
 
 
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
