@@ -273,10 +273,13 @@ def load_config(path) -> dict:
     return cfg
 
 
+# built once: jsonschema.validate would re-check the constant schema on every call
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def validate_config(cfg: dict) -> None:
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<top level>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
 

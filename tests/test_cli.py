@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,12 +19,14 @@ from netdiff.cli import build_parser, cmd_girsanov_check, main
 from netdiff.coefficients import parse_drift
 from netdiff.config import (
     COMMANDS,
+    CONFIG_SCHEMA,
     ConfigError,
     build_diffusion,
     build_drift,
     build_graph,
     build_grid,
     build_initial,
+    validate_config,
 )
 from netdiff.engine import load_ensemble, save_ensemble, simulate
 from netdiff.graphs import path_graph, z_line
@@ -433,6 +436,23 @@ def test_exit_code_2_on_config_trouble(tmp_path, capsys):
     badset["options"] = {"graph": {"set": [99]}}
     assert main(["graph", "--config", write_config(tmp_path, badset, "b.json"), "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+def test_config_schema_passes_its_meta_schema():
+    # validate_config builds its validator once and does not re-check the schema
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [{"seed": 1, "bogus": 2}, {"seed": -1}, {**BASE, "grid": {"t_max": 1.0}}, {**BASE, "options": {"graph": {"set": 3}}}],
+)
+def test_config_errors_read_as_jsonschema_validate_reports_them(cfg):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        validate_config(cfg)
+    assert str(got.value).endswith(want.value.message)
 
 
 def test_bad_grid_is_a_config_error(tmp_path, capsys):
