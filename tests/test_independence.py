@@ -10,7 +10,7 @@ from scipy import stats
 import netdiff.gaussian
 import netdiff.independence
 from netdiff.coefficients import ConstantDiffusion, parse_drift
-from netdiff.engine import simulate, simulate_driftless
+from netdiff.engine import PathEnsemble, simulate, simulate_driftless
 from netdiff.gaussian import (
     StackedCovariance,
     _precision_block_maxima,
@@ -19,7 +19,7 @@ from netdiff.gaussian import (
     path_covariance,
     path_precision_blocks,
 )
-from netdiff.graphs import grid_graph, path_graph
+from netdiff.graphs import Graph, grid_graph, path_graph
 from netdiff.independence import (
     exact_gaussian_ci,
     mrf_order_scan,
@@ -163,6 +163,73 @@ def test_constant_feature_is_inconclusive():
     rep = partial_correlation_ci_test(ens, [1], [2], [3], [0.0, 1.0], alpha=0.01)
     assert rep.verdict == "inconclusive"
     assert np.isnan(rep.statistic)
+
+
+def lstsq_oracle(ens, a, s, b, feature_grid, alpha):
+    """The regression route the Gram kernel replaced: matrix_rank of [1, S] and
+    two lstsq over all R rows.  Returns (verdict, statistic, p_value)."""
+    ks = [ens.time_index(t) for t in feature_grid]
+
+    def features(labels):
+        vi = [ens.labels.index(lab) for lab in labels]
+        return ens.values[:, vi][:, :, ks, :].reshape(ens.n_replicas, -1)
+
+    fa, fs, fb = features(a), features(s), features(b)
+    n = ens.n_replicas
+    n_pairs = fa.shape[1] * fb.shape[1]
+    z = np.column_stack([np.ones(n), fs])
+    if np.linalg.matrix_rank(z) < z.shape[1]:
+        return "inconclusive", float("nan"), None
+    ra = fa - z @ np.linalg.lstsq(z, fa, rcond=None)[0]
+    rb = fb - z @ np.linalg.lstsq(z, fb, rcond=None)[0]
+    ra = ra - ra.mean(axis=0)
+    rb = rb - rb.mean(axis=0)
+    na = np.sqrt((ra * ra).sum(axis=0))
+    nb = np.sqrt((rb * rb).sum(axis=0))
+    if np.any(na <= 1e-8 * np.sqrt((fa * fa).sum(axis=0)) + 1e-300) or np.any(
+        nb <= 1e-8 * np.sqrt((fb * fb).sum(axis=0)) + 1e-300
+    ):
+        return "inconclusive", float("nan"), None
+    r = np.clip((ra.T @ rb) / np.outer(na, nb), -1.0 + 1e-15, 1.0 - 1e-15)
+    z_stat = np.abs(np.arctanh(r)) * np.sqrt(n - fs.shape[1] - 3)
+    p = float(min(1.0, 2.0 * stats.norm.sf(z_stat).min() * n_pairs))
+    return ("independent" if p > alpha else "dependent"), float(np.abs(r).max()), p
+
+
+@pytest.mark.parametrize(
+    "g, drift, steps, replicas",
+    [
+        (P5, "nbr_sum(y) - 2*x", 8, 10_000),
+        (grid_graph(3, 3), "nbr_avg(y) - x", 8, 5000),
+        (P5, "2*nbr_sum(sin(2*y)) - x", 4, 10_000),
+    ],
+    ids=["path5", "grid3x3", "sin"],
+)
+def test_ensemble_scan_matches_the_lstsq_oracle(g, drift, steps, replicas):
+    grid = np.linspace(0.0, 2.0, steps + 1)
+    ens = simulate(g, parse_drift(drift), UNIT, PointMass(0.0), grid, replicas, seed=11)
+    reps = mrf_order_scan(g, ens, alpha=1e-4)
+    assert len(reps) > 1
+    for r in reps:
+        verdict, statistic, p = lstsq_oracle(ens, r.a, r.s, r.b, grid[1:], 1e-4)
+        assert r.verdict == verdict
+        assert r.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
+        assert r.p_value == pytest.approx(p, rel=1e-9, abs=0.0)
+
+
+def test_linear_feature_is_inconclusive():
+    # vertex 1 is an exact affine function of vertex 2, and vertex 4 of vertex 3
+    rng = np.random.default_rng(4)
+    store = rng.standard_normal((3, 5, 1000, 1))
+    store[:, 0] = 2.0 * store[:, 1] + 1.0
+    store[:, 3] = -0.5 * store[:, 2]
+    ens = PathEnsemble(path_graph(5), np.array([0.0, 0.5, 1.0]), store.transpose(2, 1, 0, 3), 4, {}, "P")
+    for a, s, b in [([1], [2], [5]), ([5], [3, 4], [1])]:
+        rep = partial_correlation_ci_test(ens, a, s, b, [0.5, 1.0], alpha=0.01)
+        assert rep.verdict == "inconclusive"
+        assert np.isnan(rep.statistic)
+        assert lstsq_oracle(ens, rep.a, rep.s, rep.b, [0.5, 1.0], 0.01)[0] == "inconclusive"
+    assert partial_correlation_ci_test(ens, [1], [3], [5], [0.5, 1.0], alpha=0.01).verdict == "independent"
 
 
 def test_alpha_validation():
