@@ -187,17 +187,15 @@ def cmd_girsanov_check(cfg, opts):
         raise ConfigError("girsanov-check needs at least two replicas for a standard error")
     grid, seed = build_grid(cfg), cfg["seed"]
     w = girsanov_weights(simulate_driftless(g, diff, init, grid, replicas, seed), drift, diff)
-    # one seed: replica r of P shares its label-keyed noise with replica r of P_star
+    # the same seed pairs replica r of P with replica r of P_star (label-keyed noise)
     log_w = _log_density(simulate(g, drift, diff, init, grid, replicas, seed), drift, diff)[2]
-    # the weights are heavy-tailed, so their mean is not what decides; Bennett's
-    # bridge E_P*[w/(1+w)] = E_P[1/(1+w)] compares bounded iid paired differences
+    # heavy tails make the weights' own mean a poor test; Bennett's bridge
+    # E_P*[w/(1+w)] = E_P[1/(1+w)] is tested on bounded, iid paired differences
     bridge = w.weights / (1.0 + w.weights) - expit(-log_w)
-    (mean, se), (b_mean, b_se) = [(float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))) for x in (w.weights, bridge)]
-    if b_se > 0:
-        z = abs(b_mean) / b_se
-    else:
-        # identical differences (e.g. zero drift): exactly zero passes, anything else fails
-        z = 0.0 if b_mean == 0.0 else None
+    mean, se = float(w.weights.mean()), float(w.weights.std(ddof=1) / np.sqrt(replicas))
+    b_mean, b_se = float(bridge.mean()), float(bridge.std(ddof=1) / np.sqrt(replicas))
+    # identical differences (e.g. zero drift) have no spread: exactly zero passes, anything else fails
+    z = abs(b_mean) / b_se if b_se > 0 else (0.0 if b_mean == 0.0 else None)
     ok = z is not None and z <= 3.0
     u = w.weights / w.weights.max()
     report = {

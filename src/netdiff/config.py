@@ -259,6 +259,8 @@ CONFIG_SCHEMA = {
     "required": ["seed"],
     "additionalProperties": False,
 }
+# built once: jsonschema.validate checks the schema against its meta-schema on every call
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def load_config(path) -> dict:
@@ -271,10 +273,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     validate_config(cfg)
     return cfg
-
-
-# built once: jsonschema.validate would re-check the constant schema on every call
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def validate_config(cfg: dict) -> None:

@@ -346,8 +346,7 @@ def girsanov_weights(ens: PathEnsemble, drift, diffusion) -> GirsanovWeights:
     if not np.all(np.isfinite(weights)):
         bad = int(np.flatnonzero(~np.isfinite(weights))[0])
         raise SimulationError(bad, None, float(ens.grid[-1]))
-    g = ens.graph
-    return GirsanovWeights(weights, dict(zip(g.vertices, m)), dict(zip(g.vertices, qv)), float(ens.grid[-1]))
+    return GirsanovWeights(weights, dict(zip(ens.labels, m)), dict(zip(ens.labels, qv)), float(ens.grid[-1]))
 
 
 def _log_density(ens: PathEnsemble, drift, diffusion):

@@ -177,14 +177,16 @@ def conditional_covariance(cov: CovarianceResult, target: Sequence, given: Seque
         raise ValueError("target set is empty")
     if set(ti) & set(gi):
         raise ValueError("target and given sets overlap")
-    s = cov.sigma
+    return _schur_complement(cov.sigma, ti, gi)
+
+
+def _schur_complement(s: np.ndarray, ti, gi) -> np.ndarray:
+    """Symmetrised s_tt - s_tg s_gg^{-1} s_gt for index lists ti and gi of a covariance s."""
     s_tt = s[np.ix_(ti, ti)]
-    if not gi:
+    if len(gi) == 0:
         return s_tt.copy()
     s_tg = s[np.ix_(ti, gi)]
-    s_gg = s[np.ix_(gi, gi)]
-    sol = np.linalg.solve(s_gg, s_tg.T)
-    out = s_tt - s_tg @ sol
+    out = s_tt - s_tg @ np.linalg.solve(s[np.ix_(gi, gi)], s_tg.T)
     return 0.5 * (out + out.T)
 
 

@@ -5,7 +5,9 @@ Two routes to the same question "is X_A independent of X_B given X_S?":
 * exact: invert a marginal of a stacked Gaussian path covariance and
   inspect the A x B precision block, and
 * statistical: partial correlations of path snapshots from a simulated
-  ensemble, with Fisher-z p-values and a Bonferroni correction.
+  ensemble, with Fisher-z p-values and a Bonferroni correction.  A scan
+  builds one centred Gram matrix of all its features, and each test reads
+  a Schur complement of it.
 
 ``mrf_order_scan`` drives either route over a family of vertex sets and
 their first or second boundaries.
@@ -24,7 +26,7 @@ import numpy as np
 from scipy import stats
 
 from .engine import PathEnsemble
-from .gaussian import StackedCovariance, _precision_block_maxima
+from .gaussian import StackedCovariance, _precision_block_maxima, _schur_complement
 from .graphs import Graph, boundary, boundary2
 
 __all__ = [
@@ -116,83 +118,74 @@ def exact_gaussian_ci(stacked: StackedCovariance, a, s, b, tol: float = 1e-8) ->
     )
 
 
-def _feature_matrix(ens: PathEnsemble, labels, time_indices) -> np.ndarray:
-    vi = [ens.labels.index(lab) for lab in labels]
-    block = ens.values[:, vi][:, :, time_indices, :]
-    return block.reshape(ens.n_replicas, -1)
+# a share of variance at or below this is numerically zero: of any eigenvalue of
+# the S features' correlation matrix, and of an A or B feature's residual given S
+_RANK_TOL = 1e-10
 
 
-def partial_correlation_ci_test(
-    ens: PathEnsemble,
-    a,
-    s,
-    b,
-    feature_grid,
-    alpha: float = 0.01,
-) -> CITestReport:
+def _features(ens: PathEnsemble, labels, feature_grid):
+    """Correlation matrix of the path values of ``labels`` at ``feature_grid``,
+    vertex-major like `StackedCovariance`, from one centred Gram matrix, and
+    each label's feature columns.  A constant feature gets a zero row and
+    column, so every test that reads it is inconclusive."""
+    ks = [ens.time_index(t) for t in feature_grid]
+    if not ks:
+        raise ValueError("feature grid is empty")
+    x = ens.values[:, [ens.labels.index(lab) for lab in labels]][:, :, ks, :].reshape(ens.n_replicas, -1)
+    xc = x - x.mean(axis=0)
+    sd = np.linalg.norm(xc, axis=0)
+    # a constant feature centres to rounding noise
+    flat = sd <= 1e-8 * np.linalg.norm(x, axis=0) + 1e-300
+    xc *= np.divide(1.0, sd, out=np.zeros_like(sd), where=~flat)
+    return xc.T @ xc, dict(zip(labels, np.arange(x.shape[1]).reshape(len(labels), -1)))
+
+
+def _partial_correlation(features, n, a, s, b, alpha) -> CITestReport:
+    """The Fisher-z test of A vs B given S on a Schur complement of the correlation matrix."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    corr, cols = features
+    ia, i_s, ib = (np.concatenate([cols[lab] for lab in part] or [np.arange(0)]) for part in (a, s, b))
+    n_features = ia.size + i_s.size + ib.size
+    if n < 50 * n_features:
+        raise ValueError(f"{n} replicas for {n_features} features; need at least {50 * n_features}")
+    n_pairs = ia.size * ib.size
+    df = n - i_s.size - 3
+    r_crit = float(np.tanh(stats.norm.isf(alpha / (2.0 * n_pairs)) / np.sqrt(df)))
+    common = dict(
+        a=a, s=s, b=b, mode="partial_correlation", threshold=r_crit,
+        n_features=n_features, n_replicas=n, note=_HEURISTIC_NOTE,
+    )
+    c = None
+    if i_s.size == 0 or np.linalg.eigvalsh(corr[np.ix_(i_s, i_s)])[0] > _RANK_TOL:
+        c = _schur_complement(corr, np.concatenate([ia, ib]), i_s)
+    # rank-deficient S features, or an A or B feature that is constant or linear in them
+    if c is None or np.diag(c).min() <= _RANK_TOL:
+        return CITestReport(statistic=float("nan"), verdict="inconclusive", **common)
+    sd = np.sqrt(np.diag(c))
+    r = np.clip(c[: ia.size, ia.size:] / np.outer(sd[: ia.size], sd[ia.size:]), -1.0 + 1e-15, 1.0 - 1e-15)
+    p = float(min(1.0, 2.0 * stats.norm.sf(np.abs(np.arctanh(r)) * np.sqrt(df)).min() * n_pairs))
+    verdict = "independent" if p > alpha else "dependent"
+    return CITestReport(statistic=float(np.abs(r).max()), verdict=verdict, p_value=p, **common)
+
+
+def partial_correlation_ci_test(ens: PathEnsemble, a, s, b, feature_grid, alpha: float = 0.01) -> CITestReport:
     """Statistical surrogate for the exact test on simulated paths.
 
     Features are the path values at ``feature_grid`` (per vertex and
     component).  The statistic is the largest absolute partial
     correlation between an A-feature and a B-feature given all
     S-features; the verdict compares the smallest Bonferroni-adjusted
-    Fisher-z p-value with ``alpha``.  Requires at least 50 replicas per
-    feature.  A rank-deficient regression (constant features, or A/B
-    features that are linear in the S-features) yields an inconclusive
-    report instead of a verdict.
+    Fisher-z p-value with ``alpha``.  The partial correlations come from a
+    Schur complement of the features' correlation matrix, which one centred
+    Gram matrix gives (``mrf_order_scan`` builds it once per scan).
+    Requires at least 50 replicas per feature.  Constant features, S
+    features whose correlation matrix has an eigenvalue of at most 1e-10,
+    or an A or B feature whose residual given S keeps at most 1e-10 of its
+    variance yield an inconclusive report instead of a verdict.
     """
     a, s, b = _check_triple(ens.labels, a, s, b)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    ks = [ens.time_index(t) for t in feature_grid]
-    if not ks:
-        raise ValueError("feature grid is empty")
-    fa = _feature_matrix(ens, a, ks)
-    fb = _feature_matrix(ens, b, ks)
-    fs = _feature_matrix(ens, s, ks) if s else np.empty((ens.n_replicas, 0))
-    n = ens.n_replicas
-    n_features = fa.shape[1] + fs.shape[1] + fb.shape[1]
-    if n < 50 * n_features:
-        raise ValueError(
-            f"{n} replicas for {n_features} features; need at least {50 * n_features}"
-        )
-    n_pairs = fa.shape[1] * fb.shape[1]
-    df = n - fs.shape[1] - 3
-    z_crit = stats.norm.isf(alpha / (2.0 * n_pairs))
-    r_crit = float(np.tanh(z_crit / np.sqrt(df)))
-    common = dict(
-        a=a, s=s, b=b, mode="partial_correlation", threshold=r_crit,
-        n_features=n_features, n_replicas=n, note=_HEURISTIC_NOTE,
-    )
-
-    z = np.column_stack([np.ones(n), fs])
-    if np.linalg.matrix_rank(z) < z.shape[1]:
-        return CITestReport(
-            statistic=float("nan"), verdict="inconclusive", **common,
-        )
-    beta_a, *_ = np.linalg.lstsq(z, fa, rcond=None)
-    beta_b, *_ = np.linalg.lstsq(z, fb, rcond=None)
-    ra = fa - z @ beta_a
-    rb = fb - z @ beta_b
-    ra = ra - ra.mean(axis=0)
-    rb = rb - rb.mean(axis=0)
-    na = np.sqrt((ra * ra).sum(axis=0))
-    nb = np.sqrt((rb * rb).sum(axis=0))
-    # residual scale collapsing to rounding noise means the feature is a
-    # linear function of the conditioning set
-    floor_a = 1e-8 * np.sqrt((fa * fa).sum(axis=0)) + 1e-300
-    floor_b = 1e-8 * np.sqrt((fb * fb).sum(axis=0)) + 1e-300
-    if np.any(na <= floor_a) or np.any(nb <= floor_b):
-        return CITestReport(
-            statistic=float("nan"), verdict="inconclusive", **common,
-        )
-    r = (ra.T @ rb) / np.outer(na, nb)
-    r = np.clip(r, -1.0 + 1e-15, 1.0 - 1e-15)
-    statistic = float(np.abs(r).max())
-    z_stat = np.abs(np.arctanh(r)) * np.sqrt(df)
-    p = float(min(1.0, 2.0 * stats.norm.sf(z_stat).min() * n_pairs))
-    verdict = "independent" if p > alpha else "dependent"
-    return CITestReport(statistic=statistic, verdict=verdict, p_value=p, **common)
+    return _partial_correlation(_features(ens, a + s + b, feature_grid), ens.n_replicas, a, s, b, alpha)
 
 
 def _default_sets(g: Graph):
@@ -218,7 +211,8 @@ def mrf_order_scan(
     (partial-correlation route).  A, its boundary and the rest always
     cover V, so on the exact route every test reads the one factorization
     of the stacked covariance, computed on first use and shared with
-    `path_precision_blocks`.
+    `path_precision_blocks`; on the ensemble route every test reads a Schur
+    complement of one correlation matrix of all features, built once.
     """
     if isinstance(source, StackedCovariance):
         def run(a, s, b):
@@ -226,9 +220,10 @@ def mrf_order_scan(
     elif isinstance(source, PathEnsemble):
         if feature_grid is None:
             feature_grid = [t for t in source.grid if t > 0.0]
+        features = _features(source, source.labels, feature_grid)
 
         def run(a, s, b):
-            return partial_correlation_ci_test(source, a, s, b, feature_grid, alpha)
+            return _partial_correlation(features, source.n_replicas, *_check_triple(source.labels, a, s, b), alpha)
     else:
         raise TypeError("source must be a StackedCovariance or a PathEnsemble")
     bad = set(orders) - {1, 2}
