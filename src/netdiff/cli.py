@@ -433,7 +433,7 @@ _COMMANDS = {
     "graph": (cmd_graph, "report boundaries, cliques and truncations of the configured graph"),
     "gaussian": (cmd_gaussian, "covariance, precision and conditional-covariance tables of the linear system"),
     "simulate": (cmd_simulate, "run the Euler-Maruyama ensemble and write summary statistics"),
-    "girsanov-check": (cmd_girsanov_check, "verify that reweighting factors of the driftless ensemble average to one"),
+    "girsanov-check": (cmd_girsanov_check, "test the driftless ensemble's reweighting factors against the configured law"),
     "ci-scan": (cmd_ci_scan, "conditional-independence scan over vertex sets and boundary orders"),
     "approx": (cmd_approx, "finite-truncation convergence table on the infinite line"),
     "hc-lab": (cmd_hc_lab, "factorization, Markov-property and kernel-locality battery on discrete models"),

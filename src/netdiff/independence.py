@@ -163,8 +163,10 @@ def _partial_correlation(features, n, a, s, b, alpha) -> CITestReport:
     if c is None or np.diag(c).min() <= _RANK_TOL:
         return CITestReport(statistic=float("nan"), verdict="inconclusive", **common)
     sd = np.sqrt(np.diag(c))
-    r = np.clip(c[: ia.size, ia.size:] / np.outer(sd[: ia.size], sd[ia.size:]), -1.0 + 1e-15, 1.0 - 1e-15)
-    p = float(min(1.0, 2.0 * stats.norm.sf(np.abs(np.arctanh(r)) * np.sqrt(df)).min() * n_pairs))
+    r = c[: ia.size, ia.size:] / np.outer(sd[: ia.size], sd[ia.size:])
+    r = np.clip(r, -1.0 + 1e-15, 1.0 - 1e-15)
+    z_stat = np.abs(np.arctanh(r)) * np.sqrt(df)
+    p = float(min(1.0, 2.0 * stats.norm.sf(z_stat).min() * n_pairs))
     verdict = "independent" if p > alpha else "dependent"
     return CITestReport(statistic=float(np.abs(r).max()), verdict=verdict, p_value=p, **common)
 
