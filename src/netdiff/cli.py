@@ -207,7 +207,7 @@ def cmd_girsanov_check(cfg, opts):
     spread = "no spread" if z is None else f"{z:.2f} sigma"
     lines = [
         f"weight mean {mean:.6f} at t={w.t}, ESS {report['ess']:.1f} of {w.weights.size}",
-        f"bridge E_P*[w/(1+w)] - E_P[1/(1+w)] = {b_mean:.3g} ({spread}): {'PASS' if ok else 'FAIL'}",
+        f"{report['statistic']} = {b_mean:.3g} ({spread}): {'PASS' if ok else 'FAIL'}",
     ]
     return ok, lines, {"weights.json": _json_text(report)}
 

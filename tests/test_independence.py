@@ -166,8 +166,8 @@ def test_constant_feature_is_inconclusive():
 
 
 def lstsq_oracle(ens, a, s, b, feature_grid, alpha):
-    """The regression route the Gram kernel replaced: matrix_rank of [1, S] and
-    two lstsq over all R rows.  Returns (verdict, statistic, p_value)."""
+    """The regression route, the reference for the ensemble kernel: matrix_rank
+    of [1, S] and two lstsq over all R rows.  Returns (verdict, statistic, p_value)."""
     ks = [ens.time_index(t) for t in feature_grid]
 
     def features(labels):
