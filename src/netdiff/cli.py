@@ -288,7 +288,6 @@ def cmd_approx(cfg, opts):
 
 def cmd_hc_lab(cfg, opts):
     from .discrete import (
-        _MAX_TABLE,
         check_mrf_bruteforce,
         conditional_specification,
         factorize_positive_2mrf,
@@ -300,8 +299,6 @@ def cmd_hc_lab(cfg, opts):
     g = _require_finite(build_graph(cfg), "hc-lab")
     k = opts.get("k", 2)
     n_models = opts.get("models", 20)
-    if k ** len(g.vertices) > _MAX_TABLE:
-        raise ConfigError(f"state space {k}^{len(g.vertices)} exceeds the exact-table cap")
     rng = np.random.default_rng(cfg["seed"])
     probe_sets = [(g.vertices[0],)]
     if g.edges():

@@ -42,7 +42,6 @@ __all__ = [
     "ParseError",
     "TanhDiagonalDiffusion",
     "ValidationReport",
-    "eval_drift",
     "parse_drift",
     "serialize",
     "truncated_drift_family",
@@ -180,9 +179,7 @@ class NbrState(_Node):
     stateful = True
 
     def ev(self, ctx):
-        if ctx.active is None:
-            raise EvalError("neighbor state read outside a neighbor aggregate")
-        return ctx.nbrs[ctx.active]
+        return ctx.nbrs
 
     def ser(self):
         return "y", _ATOM
@@ -354,17 +351,16 @@ class NbrAgg(_Node):
     stateful = True
 
     def ev(self, ctx):
-        if not ctx.nbrs:
+        degree = len(ctx.nbrs)
+        if degree == 0:
             return 0.0
-        acc = None
-        for j in range(len(ctx.nbrs)):
-            ctx.active = j
-            val = self.arg.ev(ctx)
-            acc = val if acc is None else acc + val
-        ctx.active = None
-        if self.kind == "avg":
-            acc = acc / len(ctx.nbrs)
-        return acc
+        val = self.arg.ev(ctx)
+        if not any(isinstance(n, NbrState) for n in _walk(self.arg)):
+            val = np.broadcast_to(val, (degree,) + np.shape(val))  # a y-free value counts once per neighbor
+        acc = val[0]
+        for row in val[1:]:  # in neighbor order: a numpy sum over the axis may pair terms otherwise
+            acc = acc + row
+        return acc / degree if self.kind == "avg" else acc
 
     def ser(self):
         return f"nbr_{self.kind}({_text(self.arg)})", _ATOM
@@ -759,22 +755,24 @@ def truncated_drift_family(drift, g, n: int) -> DriftTable:
 class EvalContext:
     """Vectorized evaluation state for one vertex, or a group, at one time.
 
-    Leading axes are batch axes: own and neighbor values are (R, d) for one
-    vertex, (n, R, d) for n vertices; histories are (..., m, d), time at axis
-    -2, aligned with ``times`` (grid points ≤ t, plus possibly later ones,
-    which are masked out so evaluation never reads past t).  With ``rows``,
-    ``own_hist`` is the shared (V, R, m, d) history, reduced over time on the
-    span of ``rows`` only before they are taken."""
+    Leading axes are batch axes: the own value is (R, d) for one vertex,
+    (n, R, d) for n vertices.  ``nbrs`` is one block of shape
+    ``(degree,) + own.shape``, row j holding the j-th neighbors in graph
+    order; a stacked float array passes through without a copy, and a
+    sequence of per-neighbor arrays is stacked.  Histories are (..., m, d),
+    time at axis -2, aligned with ``times`` (grid points ≤ t, plus possibly
+    later ones, which are masked out so evaluation never reads past t).  With
+    ``rows``, ``own_hist`` is the shared (V, R, m, d) history, reduced over
+    time on the span of ``rows`` only before they are taken."""
 
-    __slots__ = ("t", "times", "own", "own_hist", "nbrs", "active", "rows")
+    __slots__ = ("t", "times", "own", "own_hist", "nbrs", "rows")
 
     def __init__(self, t, own, nbrs=(), times=None, own_hist=None, rows=None):
         self.t = float(t)
         self.own = own
-        self.nbrs = list(nbrs)
+        self.nbrs = np.asarray(nbrs, dtype=float).reshape((len(nbrs),) + own.shape)
         self.times = times
         self.own_hist = own_hist
-        self.active = None
         self.rows = rows
 
 
@@ -783,61 +781,6 @@ def evaluate_vectorized(spec: DriftSpec, ctx: EvalContext, d: int):
     val = np.asarray(spec.ast.ev(ctx), dtype=float)
     shape = ctx.own.shape[:-1] + (d,)
     return val if val.shape == shape else np.broadcast_to(val, shape)
-
-
-def eval_drift(spec, t, own_history, neighbor_histories=(), vertex=None):
-    """Evaluate a drift at time t for a single path.
-
-    Parameters
-    ----------
-    spec : DriftSpec or DriftTable
-        With a table, ``vertex`` selects the entry.
-    t : float
-    own_history : (times, values)
-        ``times`` increasing from 0; ``values`` of shape (m,) or (m, d).
-        Only the portion with times ≤ t is ever read.
-    neighbor_histories : sequence of (times, values)
-        One per neighbor, in the graph's neighbor order.
-
-    Returns
-    -------
-    numpy.ndarray of shape (d,)
-    """
-    if isinstance(spec, DriftTable):
-        spec = spec.for_vertex(vertex)
-    if spec is None:
-        spec = zero_drift()
-    times, values = own_history
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    d = values.shape[1]
-    own_cur = _value_at(times, values, t)
-    nbr_cur = []
-    for nt, nv in neighbor_histories:
-        nt = np.asarray(nt, dtype=float)
-        nv = np.asarray(nv, dtype=float)
-        if nv.ndim == 1:
-            nv = nv[:, None]
-        nbr_cur.append(_value_at(nt, nv, t)[None, :])
-    ctx = EvalContext(
-        t,
-        own_cur[None, :],
-        nbrs=nbr_cur,
-        times=times,
-        own_hist=values[None, :, :],
-    )
-    out = evaluate_vectorized(spec, ctx, d)
-    return out[0]
-
-
-def _value_at(times, values, t):
-    """Left-constant interpolation of a grid path at time t."""
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    if idx < 0:
-        raise EvalError("history does not cover the evaluation time")
-    return values[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ def _drift_at(grp: _Group, t, own, nbrs, times, hist, d) -> np.ndarray:
     """Drift of a group for all replicas at time t: ``own`` holds the group's
     states (n, R, d), ``nbrs`` its neighbours' (degree, n, R, d), and ``hist``
     the paths (V, R, m, d) over the grid points ``times`` <= t, in graph order."""
-    ctx = EvalContext(t, own, list(nbrs), times=times, own_hist=hist, rows=grp.rows)
+    ctx = EvalContext(t, own, nbrs, times=times, own_hist=hist, rows=grp.rows)
     return evaluate_vectorized(grp.spec, ctx, d)
 
 

@@ -403,6 +403,16 @@ def test_hc_lab_battery(tmp_path, capsys):
     assert report["max_mrf2_violation"] <= 1e-10
 
 
+def test_hc_lab_rejects_a_state_space_over_the_table_cap(tmp_path, capsys):
+    cfg = copy.deepcopy(BASE)
+    cfg["graph"] = {"kind": "path", "n": 21}
+    cfg["options"] = {"hc-lab": {"k": 2, "models": 1}}
+    code, _ = run("hc-lab", write_config(tmp_path, cfg), tmp_path / "out")
+    assert code == 2
+    assert "exceeds the exact-computation cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reproduce_paper_all_green(tmp_path, capsys):
     cfg = {"seed": 0}
     code, text = run("reproduce-paper", write_config(tmp_path, cfg), tmp_path / "out", capsys=capsys)

@@ -21,7 +21,6 @@ from netdiff.coefficients import (
     RunMaxNorm,
     TanhDiagonalDiffusion,
     TimeVar,
-    eval_drift,
     evaluate_vectorized,
     parse_drift,
     serialize,
@@ -170,50 +169,50 @@ def test_unknown_identifier_reports_position():
 # ---------------------------------------------------------------- evaluation
 
 
-def flat_history(times, value):
-    times = np.asarray(times, dtype=float)
-    return (times, np.full(times.shape, float(value)))
-
-
 def test_eval_examples():
     spec = parse_drift("nbr_sum(y - x)")
-    own = flat_history([0.0, 1.0], 1.0)
-    nb = [flat_history([0.0, 1.0], 2.0), flat_history([0.0, 1.0], 0.0)]
-    assert eval_drift(spec, 1.0, own, nb) == pytest.approx([0.0])
+    ctx = EvalContext(1.0, np.array([[1.0]]), [np.array([[2.0]]), np.array([[0.0]])])
+    assert evaluate_vectorized(spec, ctx, 1).tolist() == [[0.0]]
 
-    assert eval_drift(zero_drift(), 0.3, own) == pytest.approx([0.0])
+    assert evaluate_vectorized(zero_drift(), EvalContext(0.3, np.array([[1.0]])), 1).tolist() == [[0.0]]
 
-    const = flat_history(np.linspace(0, 2, 9), 3.25)
-    assert eval_drift(parse_drift("runavg(x, t)"), 2.0, const) == pytest.approx([3.25])
+    times = np.linspace(0, 2, 9)
+    const = np.full((1, times.size, 1), 3.25)
+    ctx = EvalContext(2.0, const[:, -1], times=times, own_hist=const)
+    assert evaluate_vectorized(parse_drift("runavg(x, t)"), ctx, 1)[0] == pytest.approx([3.25])
 
 
 def test_eval_lag_and_clamping_at_zero():
     times = np.array([0.0, 0.25, 0.5, 0.75])
-    vals = np.array([1.0, 2.0, 3.0, 4.0])
-    spec = parse_drift("lag(x, 0.5)")
-    assert eval_drift(spec, 0.75, (times, vals)) == pytest.approx([2.0])
+    hist = np.array([1.0, 2.0, 3.0, 4.0])[None, :, None]
+
+    def lag(tau, t):
+        ctx = EvalContext(t, hist[:, 0], times=times, own_hist=hist)
+        return evaluate_vectorized(parse_drift(f"lag(x, {tau})"), ctx, 1).tolist()
+
+    assert lag(0.5, 0.75) == [[2.0]]
+    # left-constant: the path at 0.4 is its value at grid point 0.25
+    assert lag(0.3, 0.7) == [[2.0]]
     # lag reaching before time 0 clamps to the path start
-    assert eval_drift(parse_drift("lag(x, 5)"), 0.75, (times, vals)) == pytest.approx([1.0])
+    assert lag(5, 0.75) == [[1.0]]
 
 
 def test_eval_runmax_norm_multidim():
     times = np.array([0.0, 1.0, 2.0])
-    vals = np.array([[3.0, 4.0], [0.0, 1.0], [1.0, 1.0]])
-    got = eval_drift(parse_drift("runmax_norm(x)"), 2.0, (times, vals))
-    assert got == pytest.approx([5.0, 5.0])
+    hist = np.array([[[3.0, 4.0], [0.0, 1.0], [1.0, 1.0]]])
+    ctx = EvalContext(2.0, hist[:, -1], times=times, own_hist=hist)
+    assert evaluate_vectorized(parse_drift("runmax_norm(x)"), ctx, 2)[0] == pytest.approx([5.0, 5.0])
 
 
 def test_eval_component_and_arithmetic():
-    times = np.array([0.0])
-    vals = np.array([[2.0, -1.0]])
-    spec = parse_drift("x[1] * 4 + x / 2")
-    got = eval_drift(spec, 0.0, (times, vals))
+    ctx = EvalContext(0.0, np.array([[2.0, -1.0]]))
+    got = evaluate_vectorized(parse_drift("x[1] * 4 + x / 2"), ctx, 2)[0]
     assert got == pytest.approx([-4 + 1.0, -4 - 0.5])
 
 
 def test_eval_component_out_of_range():
-    with pytest.raises(EvalError):
-        eval_drift(parse_drift("x[3]"), 0.0, flat_history([0.0], 1.0))
+    with pytest.raises(EvalError, match="component 3 out of range"):
+        evaluate_vectorized(parse_drift("x[3]"), EvalContext(0.0, np.array([[1.0]])), 1)
 
 
 def test_progressive_measurability():
@@ -227,25 +226,24 @@ def test_progressive_measurability():
         ]
     ]
     times = np.linspace(0, 2, 17)
-    cut = 9  # evaluate at times[cut]
-    t = times[cut]
+    cut = 9  # evaluate at times[cut], on 20 replicas at once
+    own = rng.normal(size=(20, times.size, 1))
+    nbrs = rng.normal(size=(2, 20, 1))
+    own2 = own.copy()
+    own2[:, cut + 1 :] = rng.normal(size=own2[:, cut + 1 :].shape) * 50
     for spec in specs:
-        for _ in range(20):
-            own = rng.normal(size=times.shape)
-            nbrs = [(times, rng.normal(size=times.shape)) for _ in range(2)]
-            base = eval_drift(spec, t, (times, own), nbrs)
-            own2 = own.copy()
-            own2[cut + 1 :] = rng.normal(size=own2[cut + 1 :].shape) * 50
-            nbrs2 = [(nt, nv.copy()) for nt, nv in nbrs]
-            for _, nv in nbrs2:
-                nv[cut + 1 :] = rng.normal(size=nv[cut + 1 :].shape) * 50
-            assert eval_drift(spec, t, (times, own2), nbrs2) == pytest.approx(base)
+        base = evaluate_vectorized(spec, EvalContext(times[cut], own[:, cut], nbrs, times=times, own_hist=own), 1)
+        again = evaluate_vectorized(spec, EvalContext(times[cut], own2[:, cut], nbrs, times=times, own_hist=own2), 1)
+        np.testing.assert_array_equal(again, base)
 
 
 def test_eval_history_required():
-    with pytest.raises(EvalError):
-        # history does not cover the evaluation time
-        eval_drift(parse_drift("lag(x, 0.1)"), -1.0, flat_history([0.0], 1.0))
+    spec = parse_drift("lag(x, 0.1)")
+    hist = np.ones((1, 1, 1))
+    with pytest.raises(EvalError, match="does not cover the evaluation time"):
+        evaluate_vectorized(spec, EvalContext(-1.0, hist[:, 0], times=np.array([0.0]), own_hist=hist), 1)
+    with pytest.raises(EvalError, match="requires a path history"):
+        evaluate_vectorized(spec, EvalContext(0.0, hist[:, 0]), 1)
 
 
 def test_vectorized_matches_scalar_eval():
@@ -256,17 +254,58 @@ def test_vectorized_matches_scalar_eval():
     own_hist = rng.normal(size=(R, times.size, d))
     nbr_hist = [rng.normal(size=(R, times.size, d)) for _ in range(2)]
     t = times[-1]
-    ctx = EvalContext(
-        t,
-        own_hist[:, -1, :],
-        nbrs=[h[:, -1, :] for h in nbr_hist],
-        times=times,
-        own_hist=own_hist,
-    )
-    vec = evaluate_vectorized(spec, ctx, d)
+
+    def ctx(r):
+        nbrs = [h[r, -1, :] for h in nbr_hist]
+        return EvalContext(t, own_hist[r, -1, :], nbrs, times=times, own_hist=own_hist[r])
+
+    vec = evaluate_vectorized(spec, ctx(slice(None)), d)
     for r in range(R):
-        one = eval_drift(spec, t, (times, own_hist[r]), [(times, h[r]) for h in nbr_hist])
-        assert vec[r] == pytest.approx(one)
+        np.testing.assert_array_equal(vec[r : r + 1], evaluate_vectorized(spec, ctx(slice(r, r + 1)), d))
+
+
+Y_FREE = ["nbr_sum(x)", "nbr_avg(1)", "nbr_sum(t)", "nbr_sum(runmax_norm(x))"]
+Y_READING = ["nbr_sum(y - x)", "nbr_avg(sin(2*y) * lag(x, 0.3))", "nbr_sum(y[1] * runmax_norm(x))"]
+
+
+@pytest.mark.parametrize("src", Y_FREE + Y_READING)
+def test_nbr_aggregate_matches_a_per_neighbor_loop(src):
+    # the reference evaluates the argument once per neighbor, adds the values
+    # in neighbor order and divides once; a y-free value counts once per neighbor
+    rng = np.random.default_rng(31)
+    times = np.linspace(0, 1, 5)
+    t, d = times[3], 2
+    hist = rng.normal(size=(6, 5, times.size, d))  # (V, R, m, d)
+    group = np.array([1, 4])
+    own = hist[group, :, 3]
+    spec = parse_drift(src)
+    agg = spec.ast
+    for degree in range(5):
+        block = rng.normal(size=(degree,) + own.shape)
+        for kw in ({"own_hist": hist[group]}, {"own_hist": hist, "rows": group}):
+            acc = 0.0
+            for j in range(degree):
+                val = agg.arg.ev(EvalContext(t, own, block[j : j + 1], times=times, **kw))
+                val = val[0] if src in Y_READING else val
+                acc = val if j == 0 else acc + val
+            if agg.kind == "avg" and degree:
+                acc = acc / degree
+            want = np.broadcast_to(np.asarray(acc, dtype=float), own.shape).tobytes()
+            for nbrs in (list(block), block):
+                got = evaluate_vectorized(spec, EvalContext(t, own, nbrs, times=times, **kw), d)
+                assert got.shape == own.shape and got.tobytes() == want, (src, degree, kw.keys())
+
+
+def test_nbr_sum_adds_in_neighbor_order():
+    # from degree 8 on, np.add.reduce over one state pairs the terms, which moves the last bits
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        block = rng.normal(size=(12, 1, 1)) * 10 ** rng.uniform(-3, 3, size=(12, 1, 1))
+        want = block[0]
+        for row in block[1:]:
+            want = want + row
+        got = evaluate_vectorized(parse_drift("nbr_sum(y)"), EvalContext(0.0, np.zeros((1, 1)), block), 1)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- growth
@@ -326,7 +365,8 @@ def test_growth_certificate_soundness_monte_carlo():
             upto = np.searchsorted(times, t, side="right")
             if upto == 0:
                 continue
-            b = eval_drift(spec, t, (times, own), nbrs)
+            nbr_now = [nv[np.searchsorted(nt, t, "right") - 1][None] for nt, nv in nbrs]  # left-constant on each grid
+            b = evaluate_vectorized(spec, EvalContext(t, own[None, upto - 1], nbr_now, times=times, own_hist=own[None]), 1)
             xnorm = np.abs(own[:upto]).max()
             ynorm = sum(np.abs(nv[: np.searchsorted(nt, t, "right")]).max() for nt, nv in nbrs)
             bound = c * (1 + xnorm + ynorm)
@@ -388,8 +428,9 @@ def test_lipschitz_certificate_soundness_monte_carlo():
             nb2 = [h + rng.normal(size=(7, 1)) * rng.uniform(0, scale) for h in nb1]
             t = float(rng.uniform(0, 2))
             upto = np.searchsorted(times, t, side="right")
-            b1 = eval_drift(spec, t, (times, own1), [(times, h) for h in nb1])
-            b2 = eval_drift(spec, t, (times, own2), [(times, h) for h in nb2])
+            hist = np.stack([own1, own2])  # the two paths as two replicas
+            nbr_now = np.stack([nb1, nb2], axis=1)[:, :, upto - 1]
+            b1, b2 = evaluate_vectorized(spec, EvalContext(t, hist[:, upto - 1], nbr_now, times=times, own_hist=hist), 1)
             dx = np.abs(own1[:upto] - own2[:upto]).max()
             dy = np.mean([np.abs(a[:upto] - b[:upto]).max() for a, b in zip(nb1, nb2)])
             gap = np.abs(b1 - b2).max()
