@@ -329,6 +329,46 @@ def test_chain_demo_exact_artifact_digests(tmp_path, capsys):
     }
 
 
+def _run_digests(tmp_path, argv, names):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_ensemble_ci_scan_artifact_digests(tmp_path, capsys):
+    # the Fisher-z thresholds and p-values of every test, through the normal tails
+    cfg = {
+        "graph": {"kind": "path", "n": 5},
+        "drift": {"default": "nbr_sum(y) - 2*x"},
+        "diffusion": {"kind": "constant", "params": {"value": 1.0}},
+        "initial": {"kind": "point", "params": {"value": 0.0}},
+        "grid": {"t_max": 1.0, "steps": 8},
+        "replicas": 3000,
+        "seed": 11,
+        "options": {"ci-scan": {"mode": "ensemble", "orders": [1, 2]}},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    got = _run_digests(tmp_path / "out", ["ci-scan", "--config", str(path)], ["reports.json", "verdicts.json"])
+    capsys.readouterr()
+    assert got == {
+        "reports.json": "04e7af498ee75d05b97c79eae8cc6e394aa856bdeb5829d3ba8e7d679fb4797b",
+        "verdicts.json": "cd2a98964544986280c0e73a3e6137dc399e6ceec2616a1a6a070164ba4bf468",
+    }
+
+
+def test_approx_artifact_digests(tmp_path, capsys):
+    # energy distances and KS statistics of the truncation ladder on zline.json
+    zline = CHAIN.with_name("zline.json")
+    argv = ["approx", "--config", str(zline), "--replicas", "200"]
+    got = _run_digests(tmp_path, argv, ["trend.json", "truncation.csv"])
+    capsys.readouterr()
+    assert got == {
+        "trend.json": "6c38126fb6018c31595a517f8df5395583cf25a538cb5f2616a8b50e8f81bf3a",
+        "truncation.csv": "3a8a50167b9e6d00201700b4b052484a8831d814b501e84e4ee0240d8182c8f0",
+    }
+
+
 def _node_kinds(node):
     yield type(node).__name__
     for f in dataclasses.fields(node):
