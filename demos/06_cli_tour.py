@@ -3,7 +3,8 @@
 Runs every subcommand against the shipped example configs, writing run
 directories into a temporary folder.  Each run is content addressed: the
 directory name ends with a hash of the effective config, and a manifest
-records every artifact with its checksum.
+records every artifact with its checksum.  Exits 1 if any command exits
+non-zero.
 """
 
 import json
@@ -24,6 +25,7 @@ TOUR = [
     ("reproduce-paper", "chain.json"),
 ]
 
+failed = []
 with tempfile.TemporaryDirectory() as out:
     for command, config in TOUR:
         print(f"$ netdiff {command} --config demos/configs/{config}")
@@ -36,6 +38,8 @@ with tempfile.TemporaryDirectory() as out:
             print(f"    {line}")
         print(f"    exit code {proc.returncode}")
         print()
+        if proc.returncode != 0:
+            failed.append(command)
 
     run_dirs = sorted(p.name for p in pathlib.Path(out).iterdir())
     print("run directories:")
@@ -45,3 +49,6 @@ with tempfile.TemporaryDirectory() as out:
     print()
     print(f"manifest of {run_dirs[0]}:")
     print(json.dumps(manifest, indent=2))
+
+if failed:
+    sys.exit(f"commands that exited non-zero: {', '.join(failed)}")

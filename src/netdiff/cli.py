@@ -25,7 +25,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import __version__
 from .config import (
@@ -181,6 +180,7 @@ def cmd_simulate(cfg, opts):
 
 
 def cmd_girsanov_check(cfg, opts):
+    from scipy.special import expit
     g = _require_finite(build_graph(cfg), "girsanov-check")
     drift, diff, init, replicas = _ensemble_inputs(cfg, g)
     if replicas < 2:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import cache
 
-import jsonschema
 import numpy as np
 
 from . import graphs
@@ -259,8 +259,13 @@ CONFIG_SCHEMA = {
     "required": ["seed"],
     "additionalProperties": False,
 }
-# built once: jsonschema.validate checks the schema against its meta-schema on every call
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+@cache
+def _validator():
+    """Built once, on first use: jsonschema.validate checks the schema against its meta-schema on every call."""
+    import jsonschema
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def load_config(path) -> dict:
@@ -276,7 +281,8 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    from jsonschema.exceptions import best_match
+    exc = best_match(_validator().iter_errors(cfg))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<top level>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc

@@ -16,8 +16,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
 
 from .coefficients import ConstantDiffusion, DriftTable, EvalContext, evaluate_vectorized, zero_drift
 from .engine import _check_grid
@@ -133,6 +131,8 @@ def covariance_at(sys: GaussianSystem, t: float, method: str = "closed_form") ->
     if t == 0:
         return CovarianceResult(np.zeros((n, n)), 0.0, method, sys.labels)
     if method == "quadrature":
+        from scipy.integrate import quad_vec
+        from scipy.linalg import expm
         def integrand(s):
             e = expm(sys.L * s)
             return e @ e.T
@@ -250,6 +250,7 @@ def _step_matrices(sys: GaussianSystem, dt: float, scheme: str):
         f = (u * np.exp(lam * dt)) @ u.T
         q = (u * _phi(lam, dt)) @ u.T
     else:
+        from scipy.linalg import expm
         # Van Loan's block-exponential identity for the noise integral
         blk = np.zeros((2 * n, 2 * n))
         blk[:n, :n] = L

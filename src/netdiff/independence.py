@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .engine import PathEnsemble
 from .gaussian import StackedCovariance, _precision_block_maxima, _schur_complement
@@ -149,9 +148,10 @@ def _partial_correlation(features, n, a, s, b, alpha) -> CITestReport:
     n_features = ia.size + i_s.size + ib.size
     if n < 50 * n_features:
         raise ValueError(f"{n} replicas for {n_features} features; need at least {50 * n_features}")
+    from scipy.special import ndtr, ndtri  # the normal tails that scipy.stats.norm.sf and .isf call
     n_pairs = ia.size * ib.size
     df = n - i_s.size - 3
-    r_crit = float(np.tanh(stats.norm.isf(alpha / (2.0 * n_pairs)) / np.sqrt(df)))
+    r_crit = float(np.tanh(-ndtri(alpha / (2.0 * n_pairs)) / np.sqrt(df)))
     common = dict(
         a=a, s=s, b=b, mode="partial_correlation", threshold=r_crit,
         n_features=n_features, n_replicas=n, note=_HEURISTIC_NOTE,
@@ -166,7 +166,7 @@ def _partial_correlation(features, n, a, s, b, alpha) -> CITestReport:
     r = c[: ia.size, ia.size:] / np.outer(sd[: ia.size], sd[ia.size:])
     r = np.clip(r, -1.0 + 1e-15, 1.0 - 1e-15)
     z_stat = np.abs(np.arctanh(r)) * np.sqrt(df)
-    p = float(min(1.0, 2.0 * stats.norm.sf(z_stat).min() * n_pairs))
+    p = float(min(1.0, 2.0 * ndtr(-z_stat).min() * n_pairs))
     verdict = "independent" if p > alpha else "dependent"
     return CITestReport(statistic=float(np.abs(r).max()), verdict=verdict, p_value=p, **common)
 

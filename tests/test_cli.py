@@ -5,6 +5,7 @@ import copy
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,33 @@ def test_version_via_console_script():
     )
     assert proc.returncode == 0
     assert "netdiff" in proc.stdout
+
+
+def _loaded_modules(code, cwd):
+    """The names in sys.modules after running ``code`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = code + "\nimport sys\nprint('\\n'.join(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_loads_no_scipy_or_jsonschema(tmp_path):
+    loaded = _loaded_modules("import netdiff, netdiff.cli", tmp_path)
+    assert "netdiff.cli" in loaded
+    assert not {m for m in loaded if m.split(".")[0] in ("scipy", "jsonschema")}
+
+
+def test_ensemble_ci_scan_loads_no_scipy_stats(tmp_path):
+    cfg = copy.deepcopy(BASE)
+    cfg["options"] = {"ci-scan": {"mode": "ensemble", "orders": [1], "feature_times": [1.0, 2.0]}}
+    path = write_config(tmp_path, cfg)
+    code = f"from netdiff.cli import main\nassert main(['ci-scan', '--config', {path!r}, '--out', 'runs']) == 0"
+    loaded = _loaded_modules(code, tmp_path)
+    assert "scipy.special" in loaded and "jsonschema" in loaded
+    assert "scipy.stats" not in loaded
 
 
 def test_graph_command_reports_second_boundary(tmp_path, capsys):

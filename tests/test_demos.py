@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 def test_demo_set():
-    assert len(DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("name", DEMOS)

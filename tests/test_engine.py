@@ -13,6 +13,7 @@ from netdiff.coefficients import (
 from netdiff.engine import (
     PathEnsemble,
     SimulationError,
+    _ks_statistic,
     _plan,
     energy_distance,
     ensemble_summary_csv,
@@ -431,6 +432,33 @@ def test_truncation_convergence_reports_the_energy_points_used():
     table = truncation_convergence(z_line(), None, UNIT, PointMass(0.0), [0], 0.25, [4, 5], 4500, seed=3, steps=2)
     assert [(r.replicas, r.points) for r in table] == [(4500, 4000), (4500, 4000)]
     assert [line.split(",")[-2:] for line in table.to_csv().splitlines()[1:]] == [["4500", "4000"]] * 2
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.array([0, 1, 1, 2, 2, 2, 3], float), np.array([1, 1, 2, 3, 3, 4], float)),  # tied integers
+        (np.arange(10.0), np.arange(4.0)),  # one sample a prefix of the other
+        (np.arange(4.0), np.arange(10.0)),
+        (np.linspace(-1.0, 1.0, 7), np.linspace(-2.0, 0.5, 30)),  # unequal sizes
+        (np.full(5, 3.0), np.full(8, 3.0)),  # identical values: zero gap
+    ],
+)
+def test_ks_statistic_matches_scipy(a, b):
+    from scipy.stats import ks_2samp
+
+    want = ks_2samp(a, b, method="asymp").statistic
+    assert repr(_ks_statistic(a, b)) == repr(float(want))
+
+
+def test_ks_statistic_matches_scipy_on_random_samples():
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n, m = rng.integers(1, 60, size=2)
+        a, b = rng.integers(-5, 6, size=n).astype(float), rng.normal(size=m).round(1)
+        assert _ks_statistic(a, b) == ks_2samp(a, b, method="asymp").statistic
 
 
 def test_truncation_convergence_window_validation():

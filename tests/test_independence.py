@@ -217,6 +217,16 @@ def test_ensemble_scan_matches_the_lstsq_oracle(g, drift, steps, replicas):
         assert r.p_value == pytest.approx(p, rel=1e-9, abs=0.0)
 
 
+def test_normal_tails_match_scipy_stats():
+    # _partial_correlation reads the tails from scipy.special, bit for bit the values of scipy.stats.norm
+    from scipy.special import ndtr, ndtri
+
+    q = np.concatenate([np.logspace(-300, np.log10(0.5), 20_000), np.linspace(1e-6, 0.999, 5000)])
+    z = np.concatenate([np.linspace(0.0, 40.0, 20_000), np.abs(np.arctanh(np.linspace(-1 + 1e-15, 1 - 1e-15, 5001)))])
+    assert np.array_equal(-ndtri(q), stats.norm.isf(q))
+    assert np.array_equal(ndtr(-z), stats.norm.sf(z))
+
+
 def test_linear_feature_is_inconclusive():
     # vertex 1 is an exact affine function of vertex 2, and vertex 4 of vertex 3
     rng = np.random.default_rng(4)
