@@ -38,6 +38,7 @@ from netdiff.config import build_diffusion, build_initial
 from netdiff.discrete import (
     FactorModel,
     check_mrf_bruteforce,
+    conditional_specification,
     factor_model_to_json,
     factorize_positive_2mrf,
     joint_table,
@@ -240,6 +241,30 @@ def test_discrete_route_digests():
     assert sha(base) == "83aea44c74698df8ee9eda098b713f509ba02245dc1ecdc44d7ca041bde510b7"
     violation = check_mrf_bruteforce(joint, g, 2).max_violation
     assert sha([violation]) == "00ece03d841d0cae9c98cb78e63c1ea05db9eb17869010ee76ab8b267aaf927d"
+
+
+def test_discrete_lab_pins(tmp_path, capsys):
+    # the worst sets of the exhaustive check, the conditional kernels, a
+    # projected joint and the hc-lab report, byte for byte
+    g = grid_graph(2, 3)
+    model = random_factor_model(g, 2, np.random.default_rng(0))
+    joint = joint_table(model)
+    worst = [check_mrf_bruteforce(joint, g, order).worst for order in (1, 2)]
+    assert [(w.a, w.boundary, w.config) for w in worst] == [
+        (((0, 1), (1, 0)), ((0, 0), (0, 2), (1, 1)), (1, 1, 0)),
+        (((0, 0),), ((0, 1), (0, 2), (1, 0), (1, 1)), (1, 0, 0, 1)),
+    ]
+    kernels = {a: sha(conditional_specification(model, a).table) for a in (((1, 1),), ((0, 1), (1, 1)))}
+    assert kernels == {
+        ((1, 1),): "bc170ecd94bd2a1ebaeb6935255054439c696580cb248de763e63809c9b577dc",
+        ((0, 1), (1, 1)): "5216550186414a3b1844ce6a83ea9d9ec476b316405b7349a14156de74f39ca0",
+    }
+    proj = project_to_truncation(random_factor_model(path_graph(9, root=2), 3, np.random.default_rng(5)), 4)
+    assert sha(joint_table(proj).probs) == "0aa5d00384ffb7875d6bea42c0810ba56628ff89cf6f3a205f440610abaa964c"
+    spin = CHAIN.with_name("spin.json")
+    got = _run_digests(tmp_path, ["hc-lab", "--config", str(spin)], ["hc_report.json"])
+    capsys.readouterr()
+    assert got == {"hc_report.json": "62a180a93c38fb21128fc158fc6a432285dd4b37383ae3e5f99c2f138d3ba08b"}
 
 
 def test_truncation_route_digests():
