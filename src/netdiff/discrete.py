@@ -35,6 +35,7 @@ __all__ = [
     "conditional_specification",
     "gibbs_sampler",
     "random_factor_model",
+    "total_variation",
     "factor_model_to_json",
     "factor_model_from_json",
 ]
@@ -42,29 +43,27 @@ __all__ = [
 _MAX_TABLE = 2**20
 
 
-def _spread(table: np.ndarray, axes, ndim: int, k: int) -> np.ndarray:
-    """View of `table` broadcastable over a ndim-axis state array."""
-    axes = list(axes)
-    order = np.argsort(axes)
-    if not np.array_equal(order, np.arange(len(axes))):
-        table = np.transpose(table, order)
-        axes = sorted(axes)
-    shape = tuple(k if i in set(axes) else 1 for i in range(ndim))
-    return table.reshape(shape)
-
-
 def _weights(m: "FactorModel", scope, vertices, keys) -> np.ndarray:
     """Product over the axes of `scope`: base weights of `vertices` first,
     then the factors of `m` on `keys`, in the order given."""
     pos = {v: i for i, v in enumerate(scope)}
-    nd = len(scope)
-    w = np.ones((m.k,) * nd)
+    axes = list(range(len(scope)))
+    w = np.ones((m.k,) * len(scope))
     for v in vertices:
         if v in m.base:
-            w = w * _spread(m.base[v], [pos[v]], nd, m.k)
+            w = np.einsum(w, axes, m.base[v], [pos[v]], axes)
     for key in keys:
-        w = w * _spread(m.factors[key], [pos[v] for v in key], nd, m.k)
+        w = np.einsum(w, axes, m.factors[key], [pos[v] for v in key], axes)
     return w
+
+
+def _grouped(t: "JointTable", g: Graph, *parts) -> np.ndarray:
+    """`t.probs` with one flat axis per vertex tuple in `parts`, in the order
+    given, and a last axis over the remaining vertices in graph order."""
+    axes = [g.index(v) for part in parts for v in part]
+    rest = sorted(set(range(len(g.vertices))).difference(axes))
+    k = t.probs.shape[0]
+    return t.probs.transpose(axes + rest).reshape(*(k ** len(part) for part in parts), -1)
 
 
 class FactorModel:
@@ -248,16 +247,9 @@ def check_mrf_bruteforce(t: JointTable, g: Graph, order: int, tol: float = 1e-10
     for r in range(1, nv + 1):
         for a_labs in itertools.combinations(g.vertices, r):
             s_labs = tuple(sorted(bnd(g, a_labs), key=g.index))
-            taken = set(a_labs).union(s_labs)
-            rest = [v for v in g.vertices if v not in taken]
-            if not rest:
+            if r + len(s_labs) == nv:
                 continue
-            ax_a = [g.index(v) for v in a_labs]
-            ax_s = [g.index(v) for v in s_labs]
-            ax_c = [g.index(v) for v in rest]
-            p = t.probs.transpose(ax_a + ax_s + ax_c).reshape(
-                k ** len(ax_a), k ** len(ax_s), k ** len(ax_c)
-            )
+            p = _grouped(t, g, a_labs, s_labs)
             ps = p.sum(axis=(0, 2))
             live = ps > 0
             cond = np.zeros_like(p)
@@ -289,19 +281,17 @@ def factorize_positive_2mrf(t: JointTable, g: Graph, tol: float = 1e-10) -> Fact
         raise ValueError("table does not index this graph's vertices")
     if np.any(t.probs <= 0):
         raise ValueError("factorization requires a strictly positive table")
-    nv = len(g.vertices)
     k = t.probs.shape[0]
     logp = np.log(t.probs)
     base = {}
     factors = {}
     for clique in cliques(g, 2):
         key = tuple(sorted(clique, key=g.index))
-        axes = [g.index(v) for v in key]
-        diff = logp
-        for ax in axes:
+        # every vertex outside the clique held at state 0, then differenced
+        diff = logp[tuple(slice(None) if v in clique else 0 for v in g.vertices)]
+        for ax in range(len(key)):
             diff = diff - np.take(diff, [0], axis=ax)
-        slicer = tuple(slice(None) if i in set(axes) else 0 for i in range(nv))
-        table = np.exp(diff[slicer])
+        table = np.exp(diff)
         if len(key) == 1:
             base[key[0]] = table
         else:
@@ -425,12 +415,7 @@ def conditional_specification(m: FactorModel, a_set) -> ConditionalKernel:
         raise ValueError("target set is empty")
     b = tuple(sorted(boundary2(g, a), key=g.index))
 
-    t = joint_table(m)
-    ax_a = [g.index(v) for v in a]
-    ax_b = [g.index(v) for v in b]
-    taken = set(ax_a).union(ax_b)
-    ax_c = [i for i in range(len(g.vertices)) if i not in taken]
-    p = t.probs.transpose(ax_b + ax_a + ax_c).reshape(k ** len(b), k ** len(a), -1).sum(axis=2)
+    p = _grouped(joint_table(m), g, b, a).sum(axis=2)
     pb = p.sum(axis=1)
     live = pb > 0
     exact = np.full_like(p, np.nan)

@@ -52,7 +52,7 @@ class Graph:
         Distinguished vertex used by balls and truncations.
     """
 
-    __slots__ = ("_vertices", "_index", "_adj", "_root")
+    __slots__ = ("_vertices", "_index", "_adj", "_root", "_square")
 
     def __init__(self, vertices, edges=(), root=None):
         verts = tuple(vertices)
@@ -77,6 +77,7 @@ class Graph:
         # neighbor tuples in vertex order: deterministic iteration everywhere
         self._adj = {v: tuple(sorted(nbr_sets[v], key=index.__getitem__)) for v in verts}
         self._root = root
+        self._square = None
 
     @property
     def vertices(self):
@@ -179,10 +180,9 @@ def boundary(g: Graph, a) -> set:
 
 
 def boundary2(g: Graph, a) -> set:
-    """Second boundary: boundary(a) together with boundary(a ∪ boundary(a))."""
-    s = _check_subset(g, a)
-    first = boundary(g, s)
-    return first | boundary(g, s | first)
+    """Second boundary: vertices outside ``a`` at graph distance 1 or 2 from
+    ``a``, read off the stored square graph as its first boundary."""
+    return boundary(square_graph(g), a)
 
 
 def graph_distance(g: Graph, u, v):
@@ -192,16 +192,15 @@ def graph_distance(g: Graph, u, v):
 
 
 def square_graph(g: Graph) -> Graph:
-    """Graph on the same vertices joining every pair at distance 1 or 2."""
-    edges = []
-    for v in g.vertices:
-        reach = set(g.neighbors(v))
-        for w in g.neighbors(v):
-            reach.update(g.neighbors(w))
-        reach.discard(v)
-        iv = g.index(v)
-        edges.extend((v, w) for w in reach if g.index(w) > iv)
-    return Graph(g.vertices, edges, root=g.root)
+    """Graph on the same vertices joining every pair at distance 1 or 2.
+
+    Built on first use and stored on ``g``, which is immutable, so every
+    later call returns that same graph.
+    """
+    if g._square is None:
+        edges = [(v, w) for v in g.vertices for w in _bfs_distances(g, v, limit=2) if g.index(w) > g.index(v)]
+        g._square = Graph(g.vertices, edges, root=g.root)
+    return g._square
 
 
 def cliques(g: Graph, order: int):

@@ -19,7 +19,10 @@ from netdiff.discrete import (
     random_factor_model,
     total_variation,
 )
+from netdiff.discrete import _weights
+from netdiff.gaussian import build_linear_system, path_covariance
 from netdiff.graphs import Graph, cliques, complete_graph, cycle_graph, grid_graph, is_2cutset, path_graph
+from netdiff.independence import mrf_order_scan
 from netdiff.initials import FactorModelInitial
 
 EQ_FACTOR = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -143,6 +146,81 @@ def test_factorize_round_trip_random_models():
             assert {frozenset(key) for key in model.factors} <= set(cliques(g, 2))
             count += 1
     assert count == 100
+
+
+def _broadcast_product(m, scope, vertices, keys):
+    # each table transposed to ascending axes and reshaped to broadcast
+    # over the scope's state array, then multiplied in
+    nd = len(scope)
+    w = np.ones((m.k,) * nd)
+    items = [(m.base[v], (v,)) for v in vertices if v in m.base] + [(m.factors[key], key) for key in keys]
+    for table, key in items:
+        axes = [scope.index(v) for v in key]
+        order = np.argsort(axes)
+        shape = [m.k if i in axes else 1 for i in range(nd)]
+        w = w * np.transpose(table, order).reshape(shape)
+    return w
+
+
+def test_weights_match_broadcast_product():
+    rng = np.random.default_rng(31)
+    for g in (path_graph(5), grid_graph(2, 3), cycle_graph(5)):
+        m = random_factor_model(g, 3, rng)
+        triple = tuple(g.vertices[:3])
+        m = FactorModel(g, 3, {**m.factors, triple: np.exp(rng.normal(size=(3, 3, 3)))}, m.base)
+        # graph order, the kernel's boundary-then-target order, and a reversed scope
+        a = (g.vertices[2],)
+        b = tuple(v for v in g.vertices if v != a[0])
+        meeting = [key for key in m.factors if a[0] in key]
+        for scope, vertices, keys in (
+            (g.vertices, m.base, m.factors),
+            (b + a, a, meeting),
+            (tuple(reversed(g.vertices)), m.base, list(m.factors)[::-1]),
+        ):
+            got = _weights(m, scope, vertices, keys)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == _broadcast_product(m, list(scope), vertices, keys).tobytes()
+
+
+def test_clique_potentials_match_full_table_differencing():
+    rng = np.random.default_rng(33)
+    for g in (path_graph(5), grid_graph(2, 3)):
+        t = joint_table(random_factor_model(g, 3, rng))
+        model = factorize_positive_2mrf(t, g)
+        logp = np.log(t.probs)
+        for clique in cliques(g, 2):
+            axes = sorted(g.index(v) for v in clique)
+            diff = logp
+            for ax in axes:
+                diff = diff - np.take(diff, [0], axis=ax)
+            want = np.exp(diff[tuple(slice(None) if i in axes else 0 for i in range(len(g.vertices)))])
+            key = tuple(g.vertices[i] for i in axes)
+            got = model.base[key[0]] if len(key) == 1 else model.factors[key]
+            assert got.tobytes() == want.tobytes()
+
+
+def test_square_graph_built_once_for_the_discrete_lab_and_scan(monkeypatch):
+    g = grid_graph(2, 3, root=(0, 0))
+    model = random_factor_model(g, 2, np.random.default_rng(5))
+    joint = joint_table(model)
+    stacked = path_covariance(build_linear_system(g, -2.0), np.linspace(0.0, 1.0, 3))
+    cliques(g, 2)
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    FactorModel(g, 2, {((0, 0), (1, 1)): np.ones((2, 2))})
+    cliques(g, 2)
+    is_2cutset(g, [(0, 0)], [(0, 2)], [(0, 1), (1, 1)])
+    check_mrf_bruteforce(joint, g, 2)
+    factorize_positive_2mrf(joint, g)
+    conditional_specification(model, [(0, 1)])
+    mrf_order_scan(g, stacked, orders=(2,))
+    assert built == []
 
 
 def test_factorize_accepts_exactly_the_bruteforce_second_order_mrfs():

@@ -103,6 +103,8 @@ def test_boundary_bruteforce_matches(rng=None):
         want2 = {v for v in g.vertices if v not in a and min(d[(v, u)] for u in a) in (1, 2)}
         assert boundary(g, a) == want1
         assert boundary2(g, a) == want2
+        # the two-pass definition: the boundary of a and its first boundary
+        assert boundary2(g, a) == boundary(g, a) | boundary(g, a | boundary(g, a))
 
 
 def test_boundary_unknown_vertex():
@@ -151,6 +153,7 @@ def test_square_graph_keeps_order_and_root():
     sq = square_graph(g)
     assert sq.vertices == g.vertices
     assert sq.root == 2
+    assert square_graph(g) is sq
 
 
 # ---------------------------------------------------------------- cliques
