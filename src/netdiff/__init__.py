@@ -5,192 +5,21 @@ with change-of-measure reweighting, truncation approximations,
 conditional-independence diagnostics, and a discrete factorization lab.
 """
 
-from .coefficients import (
-    ConstantDiffusion,
-    DiffusionTable,
-    DriftSpec,
-    DriftTable,
-    EvalError,
-    ParseError,
-    TanhDiagonalDiffusion,
-    parse_drift,
-    truncated_drift_family,
-    validate_linear_growth,
-    validate_lipschitz,
-    zero_drift,
-)
-from .config import ConfigError, load_config, validate_config
-from .discrete import (
-    FactorModel,
-    JointTable,
-    check_mrf_bruteforce,
-    conditional_specification,
-    empirical_table,
-    factor_model_from_json,
-    factor_model_to_json,
-    factorize_positive_2mrf,
-    gibbs_sampler,
-    joint_table,
-    marginalize,
-    project_to_truncation,
-    projection_counterexample_search,
-    random_factor_model,
-    total_variation,
-)
-from .engine import (
-    GirsanovWeights,
-    PathEnsemble,
-    SimulationError,
-    TruncationTable,
-    energy_distance,
-    ensemble_summary_csv,
-    entropy_bound_estimate,
-    girsanov_weights,
-    load_ensemble,
-    save_ensemble,
-    simulate,
-    simulate_driftless,
-    simulate_truncated,
-    truncation_convergence,
-)
-from .gaussian import (
-    GaussianSystem,
-    StackedCovariance,
-    build_linear_system,
-    conditional_covariance,
-    covariance_at,
-    linear_system,
-    matrix_csv,
-    path_covariance,
-    path_precision_blocks,
-    precision_at,
-    precision_edges_json,
-)
-from .graphs import (
-    Graph,
-    InfiniteGraph,
-    adjacency_matrix,
-    augmented_truncation,
-    ball,
-    boundary,
-    boundary2,
-    cliques,
-    complete_graph,
-    cycle_graph,
-    format_edge_list,
-    graph_distance,
-    grid_graph,
-    is_2cutset,
-    parse_edge_list,
-    path_graph,
-    regular_tree,
-    square_graph,
-    z_line,
-)
-from .independence import (
-    CITestReport,
-    exact_gaussian_ci,
-    mrf_order_scan,
-    order_summary,
-    partial_correlation_ci_test,
-    reports_to_csv,
-    reports_to_json,
-)
-from .initials import (
-    FactorModelInitial,
-    NormalInitial,
-    PerVertexInitial,
-    PointMass,
-    UniformInitial,
-)
+# Each module's ``__all__`` is its public API; the package re-exports them all.
+from . import coefficients, config, discrete, engine, gaussian, graphs, independence, initials
+from .coefficients import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .discrete import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .gaussian import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .independence import *  # noqa: F401,F403
+from .initials import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CITestReport",
-    "ConfigError",
-    "ConstantDiffusion",
-    "DiffusionTable",
-    "DriftSpec",
-    "DriftTable",
-    "EvalError",
-    "FactorModel",
-    "FactorModelInitial",
-    "GaussianSystem",
-    "GirsanovWeights",
-    "Graph",
-    "InfiniteGraph",
-    "JointTable",
-    "NormalInitial",
-    "ParseError",
-    "PathEnsemble",
-    "PerVertexInitial",
-    "PointMass",
-    "SimulationError",
-    "StackedCovariance",
-    "TanhDiagonalDiffusion",
-    "TruncationTable",
-    "UniformInitial",
-    "adjacency_matrix",
-    "augmented_truncation",
-    "ball",
-    "boundary",
-    "boundary2",
-    "build_linear_system",
-    "check_mrf_bruteforce",
-    "cliques",
-    "complete_graph",
-    "conditional_covariance",
-    "conditional_specification",
-    "covariance_at",
-    "cycle_graph",
-    "empirical_table",
-    "energy_distance",
-    "ensemble_summary_csv",
-    "entropy_bound_estimate",
-    "exact_gaussian_ci",
-    "factor_model_from_json",
-    "factor_model_to_json",
-    "factorize_positive_2mrf",
-    "format_edge_list",
-    "gibbs_sampler",
-    "girsanov_weights",
-    "graph_distance",
-    "grid_graph",
-    "is_2cutset",
-    "joint_table",
-    "linear_system",
-    "load_config",
-    "load_ensemble",
-    "marginalize",
-    "matrix_csv",
-    "mrf_order_scan",
-    "order_summary",
-    "parse_drift",
-    "parse_edge_list",
-    "partial_correlation_ci_test",
-    "path_covariance",
-    "path_graph",
-    "path_precision_blocks",
-    "precision_at",
-    "precision_edges_json",
-    "project_to_truncation",
-    "projection_counterexample_search",
-    "random_factor_model",
-    "regular_tree",
-    "reports_to_csv",
-    "reports_to_json",
-    "save_ensemble",
-    "simulate",
-    "simulate_driftless",
-    "simulate_truncated",
-    "square_graph",
-    "total_variation",
-    "truncated_drift_family",
-    "truncation_convergence",
-    "validate_config",
-    "validate_linear_growth",
-    "validate_lipschitz",
-    "z_line",
-    "zero_drift",
-]
+__all__ = sorted(
+    name
+    for module in (coefficients, config, discrete, engine, gaussian, graphs, independence, initials)
+    for name in module.__all__
+)

@@ -12,6 +12,8 @@ import numpy as np
 
 from .engine import vertex_stream, joint_stream
 
+__all__ = ["FactorModelInitial", "NormalInitial", "PerVertexInitial", "PointMass", "UniformInitial"]
+
 
 class _ProductLaw:
     """Base for laws that factorize over vertices."""
