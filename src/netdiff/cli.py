@@ -4,10 +4,12 @@ Each command is a pure computation: it returns its verdict, its report lines
 and its artifacts (file name -> text or bytes) and touches no file.  Only
 when it returns (exit 0 or 1) does `main` write the run directory
 ``<out>/<command>-<hash>``, where the hash is taken over the effective
-configuration, so identical inputs produce identical artifact bytes.  Its
-``manifest.json`` lists exactly that run's artifacts with their checksums;
-wall-clock timestamps live only in the ``run.log`` sidecar, which the
-manifest excludes.  A command that raises writes nothing.
+configuration, so identical inputs produce identical artifact bytes.  The
+directory is staged in a temporary sibling and renamed into place, so a
+rerun replaces it whole.  Its ``manifest.json`` lists exactly that run's
+artifacts with their checksums; wall-clock timestamps live only in the
+``run.log`` sidecar, which the manifest excludes and a rerun appends to.
+A command that raises writes nothing.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration rejected
 (a fault the config alone decides, including an input the library rejects
@@ -19,7 +21,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -457,24 +461,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_run(run_dir: Path, command: str, digest: str, artifacts: dict) -> None:
-    """Write exactly these artifacts and a manifest of their checksums, in name order."""
-    run_dir.mkdir(parents=True, exist_ok=True)
-    listed = []
-    for name in sorted(artifacts):
-        data = artifacts[name]
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        (run_dir / name).write_bytes(data)
-        listed.append({"name": name, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()})
-    manifest = {"command": command, "config_hash": digest, "artifacts": listed}
-    (run_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
-
-
-def _append_log(run_dir: Path, command: str, config_path: str) -> None:
-    stamp = datetime.now(timezone.utc).isoformat()
-    with open(run_dir / "run.log", "a", encoding="utf-8") as fh:
-        fh.write(f"{stamp} netdiff {command} --config {config_path}\n")
+def _write_run(run_dir: Path, command: str, digest: str, artifacts: dict, config_path: str) -> None:
+    """Write exactly these artifacts, a manifest of their checksums in name
+    order and the run.log, whose earlier lines a rerun keeps, all in a
+    temporary sibling that then replaces `run_dir` by renames; a failed write
+    leaves the previous directory or none."""
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{run_dir.name}-", dir=run_dir.parent) as scratch:
+        stage = Path(scratch) / "run"
+        stage.mkdir()
+        listed = []
+        for name in sorted(artifacts):
+            data = artifacts[name]
+            if isinstance(data, str):
+                data = data.encode("utf-8")
+            (stage / name).write_bytes(data)
+            listed.append({"name": name, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()})
+        manifest = {"command": command, "config_hash": digest, "artifacts": listed}
+        (stage / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+        if (run_dir / "run.log").exists():
+            shutil.copyfile(run_dir / "run.log", stage / "run.log")
+        stamp = datetime.now(timezone.utc).isoformat()
+        with open(stage / "run.log", "a", encoding="utf-8") as fh:
+            fh.write(f"{stamp} netdiff {command} --config {config_path}\n")
+        if run_dir.exists():
+            run_dir.rename(Path(scratch) / "replaced")
+        stage.rename(run_dir)
 
 
 def main(argv=None) -> int:
@@ -505,8 +517,7 @@ def main(argv=None) -> int:
         print(f"config error: {command}: {exc}", file=sys.stderr)
         return 2
     run_dir = Path(args.out) / f"{command}-{digest[:12]}"
-    _write_run(run_dir, command, digest, artifacts)
-    _append_log(run_dir, command, args.config)
+    _write_run(run_dir, command, digest, artifacts, args.config)
     for line in lines:
         print(line)
     print(f"artifacts: {run_dir}")

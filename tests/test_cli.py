@@ -196,6 +196,39 @@ def test_manifest_lists_only_this_runs_artifacts(tmp_path, capsys):
     assert [a["name"] for a in manifest["artifacts"]] == ["graph.txt", "report.json"]
 
 
+def test_run_directory_is_replaced_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    write_bytes = Path.write_bytes
+
+    def fail_after_first_artifact(self, data):
+        if self.name == "report.json":  # graph.txt is written first
+            raise OSError("disk full")
+        return write_bytes(self, data)
+
+    def failing_run():
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_bytes", fail_after_first_artifact)
+            with pytest.raises(OSError, match="disk full"):
+                run("graph", path, out)
+
+    failing_run()
+    assert list(out.iterdir()) == []
+    assert run("graph", path, out, capsys=capsys)[0] == 0
+    rd = only_run_dir(out, "graph")
+    before = {p.name: p.read_bytes() for p in rd.iterdir()}
+    failing_run()
+    assert list(out.iterdir()) == [rd]
+    assert {p.name: p.read_bytes() for p in rd.iterdir()} == before
+    # a rerun replaces the directory and appends to its run.log
+    (rd / "notes.txt").write_text("left by hand\n")
+    assert run("graph", path, out, capsys=capsys)[0] == 0
+    assert list(out.iterdir()) == [rd]
+    assert sorted(p.name for p in rd.iterdir()) == ["graph.txt", "manifest.json", "report.json", "run.log"]
+    log = (rd / "run.log").read_text().splitlines()
+    assert len(log) == 2 and log[0] == before["run.log"].decode().strip()
+
+
 def test_simulate_save_paths(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     cfg["replicas"] = 20
