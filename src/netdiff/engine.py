@@ -66,6 +66,7 @@ _KIND_INITIAL = 1
 _KIND_JOINT = 2
 
 _ENERGY_POINTS = 4000  # points of each sample that energy_distance keeps
+_ENERGY_BLOCK = 256  # rows of x per distance block in _distance_sum
 _STORE = (2, 1, 0, 3)  # values (R, V, T, d) <-> store (T, V, R, d); its own inverse
 
 
@@ -366,18 +367,29 @@ def _log_density(ens: PathEnsemble, drift, diffusion):
     return m, qv, log_w
 
 
-def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Unbiased sample energy distance on the first ``_ENERGY_POINTS`` points of two clouds (n, p)."""
+def _distance_sum(x: np.ndarray, y: np.ndarray | None = None) -> float:
+    """Sum of |x_i - y_j| over all pairs (or of |x_i - x_j| over i < j without y), ``_ENERGY_BLOCK`` rows at a time."""
     from scipy.spatial.distance import cdist, pdist
-    x = np.atleast_2d(np.asarray(x, dtype=float))[:_ENERGY_POINTS]
-    y = np.atleast_2d(np.asarray(y, dtype=float))[:_ENERGY_POINTS]
+    total = 0.0
+    for lo in range(0, len(x), _ENERGY_BLOCK):
+        rows, later = x[lo : lo + _ENERGY_BLOCK], x[lo + _ENERGY_BLOCK :]
+        total += cdist(rows, y).sum() if y is not None else pdist(rows).sum() + cdist(rows, later).sum()
+    return total
+
+
+def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Sample energy distance on the first ``_ENERGY_POINTS`` points of two clouds (n, p); (n,) is n points in 1-D.
+
+    Self means run over i != j, the cross mean over all n·m pairs: unbiased for independent samples, not for the
+    ladder's paired ones (see TruncationRow).  ``energy_distance(x, x)`` is -(2/n)·(mean pairwise distance)."""
+    same = x is y
+    x, y = (np.asarray(a, dtype=float).reshape(len(a), -1)[:_ENERGY_POINTS] for a in (x, y))
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError("need at least two points per sample")
-    a = cdist(x, y).mean()
-    b = 2.0 * pdist(x).sum() / (n * (n - 1))
-    c = 2.0 * pdist(y).sum() / (m * (m - 1))
-    return float(2 * a - b - c)
+    sx = _distance_sum(x)
+    sy, sxy = (sx, 2.0 * sx) if same else (_distance_sum(y), _distance_sum(x, y))
+    return float(2 * (sxy / (n * m)) - 2.0 * sx / (n * (n - 1)) - 2.0 * sy / (m * (m - 1)))
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
@@ -390,6 +402,8 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TruncationRow:
+    """One ladder level.  Levels share noise per replica, so ``energy_distance`` is the off-diagonal U-statistic
+    minus (2/n)(mean off-diagonal cross - mean paired distance); at the last level, -(2/n)·(mean pairwise distance)."""
     n: int
     energy_distance: float
     ks_max: float

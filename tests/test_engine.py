@@ -13,6 +13,7 @@ from netdiff.coefficients import (
 from netdiff.engine import (
     PathEnsemble,
     SimulationError,
+    _ENERGY_POINTS,
     _ks_statistic,
     _plan,
     energy_distance,
@@ -576,6 +577,79 @@ def test_energy_distance_separates_and_vanishes():
     far = energy_distance(x, z)
     assert abs(near) < 0.02
     assert far > 0.2
+
+
+def _energy_oracle(x, y):
+    """The unblocked formula, from the full n x m cdist and the full pdist arrays."""
+    from scipy.spatial.distance import cdist, pdist
+
+    x, y = x[:_ENERGY_POINTS], y[:_ENERGY_POINTS]
+    n, m = len(x), len(y)
+    return 2 * cdist(x, y).mean() - 2 * pdist(x).sum() / (n * (n - 1)) - 2 * pdist(y).sum() / (m * (m - 1))
+
+
+ENERGY_SIZES = (2, 255, 256, 257, 1500, 5000)  # around the 256-row block and past the 4000-point cut
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("n, m", list(zip(ENERGY_SIZES, reversed(ENERGY_SIZES))) + [(257, 5000), (5000, 1500)])
+def test_energy_distance_matches_unblocked_formula(n, m, p):
+    rng = np.random.default_rng(n + 7 * m + p)
+    x, y = rng.normal(size=(n, p)), rng.normal(loc=0.5, scale=1.5, size=(m, p))
+    assert energy_distance(x, y) == pytest.approx(_energy_oracle(x, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("n", ENERGY_SIZES)
+def test_energy_distance_of_a_sample_with_itself_matches_unblocked_formula(n, p):
+    x = np.random.default_rng(n + p).normal(size=(n, p))
+    got = energy_distance(x, x)
+    assert got == pytest.approx(_energy_oracle(x, x), rel=1e-12)
+    assert got < 0.0
+
+
+def test_energy_distance_reads_a_1d_array_as_points_on_the_line():
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=700), rng.normal(loc=0.3, size=300)
+    assert energy_distance(a, b) == energy_distance(a[:, None], b[:, None])
+    assert energy_distance(a, a) == energy_distance(a[:, None], a[:, None])
+
+
+def test_energy_distance_memory_stays_in_row_blocks():
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(4000, 3)), rng.normal(size=(4000, 3))
+    energy_distance(x[:3], y[:3])  # import scipy.spatial outside the trace
+    tracemalloc.start()
+    try:
+        energy_distance(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full 4000 x 4000 cdist alone is 128 MB
+    assert peak < 16 * 2**20
+
+
+def test_ladder_rows_carry_the_paired_diagonal():
+    # every level shares replica i's noise, so the cross mean keeps the paired (i, i) distances
+    from scipy.spatial.distance import cdist, pdist
+
+    R, levels, grid = 600, [4, 6], np.linspace(0.0, 1.0, 9)
+    table = truncation_convergence(z_line(), P5_DRIFT, UNIT, PointMass(0.0), [-1, 0, 1], 1.0, levels, R, seed=5, steps=8)
+    marg = {}
+    for n in levels:
+        ens = simulate_truncated(z_line(), None, n, P5_DRIFT, UNIT, PointMass(0.0), grid, R, 5)
+        marg[n] = ens.values[:, [ens.graph.index(v) for v in (-1, 0, 1)], -1, :].reshape(R, -1)
+    cur, ref = marg[4], marg[6]
+    mean_x, mean_y = pdist(cur).mean(), pdist(ref).mean()
+    # the reference row: -(2/n) times the mean pairwise distance
+    assert table.rows[-1].energy_distance == pytest.approx(-2 / R * mean_y, rel=1e-12)
+    d = cdist(cur, ref)
+    paired = np.diag(d).mean()
+    off_cross = (d.sum() - np.trace(d)) / (R * (R - 1))
+    u_stat = 2 * off_cross - mean_x - mean_y
+    assert table.rows[0].energy_distance == pytest.approx(u_stat - 2 / R * (off_cross - paired), rel=1e-9)
 
 
 def dcor_stat(a, b):
