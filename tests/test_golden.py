@@ -267,6 +267,47 @@ def test_discrete_lab_pins(tmp_path, capsys):
     assert got == {"hc_report.json": "62a180a93c38fb21128fc158fc6a432285dd4b37383ae3e5f99c2f138d3ba08b"}
 
 
+def _random_connected(n, rng):
+    """A random tree plus 3 extra edges, the vertices renamed by a permutation."""
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    for i in rng.choice(len(missing), size=3, replace=False):
+        edges.add(missing[int(i)])
+    labels = rng.permutation(n)
+    return Graph(range(n), sorted((int(labels[u]), int(labels[v])) for u, v in edges))
+
+
+def test_discrete_lab_pins_beyond_the_grid():
+    # k=3 on six vertices listed out of label order, and k=2 on a random
+    # connected graph of ten: the violation bits, the worst set (which
+    # fixes the enumeration order of ties) and the 2-clique potentials
+    six = Graph([5, 2, 0, 4, 1, 3], [(5, 2), (2, 0), (0, 4), (4, 1), (1, 3), (2, 1), (3, 5)])
+    ten = _random_connected(10, np.random.default_rng(8))
+    assert ten.edges() == [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 5), (2, 8), (4, 7), (5, 7), (6, 7), (6, 8), (8, 9)]
+    cases = [
+        (3, six, 21, [
+            ("e7bd6cd0e35834fd200cd92cb3eca9d93de8ae1bb7f700bd5e8f938331f1c22c", ((2, 0), (5, 4, 1), (0, 1, 2))),
+            ("60194e914a64aa2359bac2e33a91ba86f7d66dd4b08583f37b887dddf2babcc4", ((0,), (5, 2, 4, 1), (1, 1, 2, 2))),
+        ], 29, "f7c1d9fea4d378236c477e11bdfb34a959c412b09bd2718161950846b951e04a",
+            "744a15db5952556c0f86bc24c1e89d063e537516f8be0a9214bd2fc77270ea29"),
+        (2, ten, 22, [
+            ("905b0ee7988e562f3feb6068daa7f7542377879a5e6f7621bd38c59294b7d3fe", ((0, 1, 3, 4, 6, 8, 9), (2, 7), (0, 0))),
+            ("1ef117218d5e60799145f646bb8383294b6eaa1f8e951b49ee4140f1b625a4b8", ((0, 3, 4, 5, 7), (1, 2, 6, 8), (1, 0, 1, 1))),
+        ], 109, "ba37dfdee70bb1d01a389a2f795c085ccca41d9a685359f3a940ba517ee9264f",
+            "4006c1d99ccdc96a0d49942b6a9de99504447dac37eb8e610e695b9a38eb96d3"),
+    ]
+    for k, g, seed, checks, n_factors, factors_sha, base_sha in cases:
+        joint = joint_table(random_factor_model(g, k, np.random.default_rng(seed)))
+        for order, (violation_sha, worst) in zip((1, 2), checks):
+            chk = check_mrf_bruteforce(joint, g, order)
+            assert sha([chk.max_violation]) == violation_sha
+            assert (chk.worst.a, chk.worst.boundary, chk.worst.config) == worst
+        back = factorize_positive_2mrf(joint, g)
+        assert len(back.factors) == n_factors and list(back.base) == list(g.vertices)
+        assert sha(np.concatenate([t.ravel() for t in back.factors.values()])) == factors_sha
+        assert sha(np.concatenate(list(back.base.values()))) == base_sha
+
+
 def test_truncation_route_digests():
     drift = parse_drift("nbr_avg(y) - x")
     ens = simulate_truncated(z_line(), None, 6, drift, DIFF, NormalInitial(0.0, 1.0), GRID, 30, seed=4)
