@@ -318,7 +318,7 @@ def cmd_hc_lab(cfg, opts):
         rebuilt = factorize_positive_2mrf(joint, g)
         max_roundtrip = max(max_roundtrip, total_variation(joint, joint_table(rebuilt)))
         for a in probe_sets:
-            kern = conditional_specification(model, a)
+            kern = conditional_specification(model, a, joint)
             max_kernel = max(max_kernel, kern.max_discrepancy)
     ok = max_violation <= 1e-10 and max_roundtrip <= 1e-10 and max_kernel <= 1e-10
     report = {

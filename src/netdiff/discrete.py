@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _truncate, boundary, boundary2, cliques, square_graph
+from .graphs import Graph, _truncate, boundary2, cliques, square_graph
 from .graphs import _graph_from_json, _graph_to_json, _label_from_json, _label_to_json
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "project_to_truncation",
     "projection_counterexample_search",
     "conditional_specification",
-    "gibbs_sampler",
     "random_factor_model",
     "total_variation",
     "factor_model_to_json",
@@ -45,25 +44,63 @@ _MAX_TABLE = 2**20
 
 def _weights(m: "FactorModel", scope, vertices, keys) -> np.ndarray:
     """Product over the axes of `scope`: base weights of `vertices` first,
-    then the factors of `m` on `keys`, in the order given."""
+    then the factors of `m` on `keys`, in the order given.  Each table is
+    transposed to ascending scope axes and broadcast over the others."""
     pos = {v: i for i, v in enumerate(scope)}
-    axes = list(range(len(scope)))
     w = np.ones((m.k,) * len(scope))
-    for v in vertices:
-        if v in m.base:
-            w = np.einsum(w, axes, m.base[v], [pos[v]], axes)
-    for key in keys:
-        w = np.einsum(w, axes, m.factors[key], [pos[v] for v in key], axes)
+    items = [((v,), m.base[v]) for v in vertices if v in m.base] + [(key, m.factors[key]) for key in keys]
+    for key, table in items:
+        axes = [pos[v] for v in key]
+        shape = [m.k if i in axes else 1 for i in range(len(scope))]
+        w *= table.transpose(sorted(range(len(axes)), key=axes.__getitem__)).reshape(shape)
     return w
 
 
-def _grouped(t: "JointTable", g: Graph, *parts) -> np.ndarray:
-    """`t.probs` with one flat axis per vertex tuple in `parts`, in the order
-    given, and a last axis over the remaining vertices in graph order."""
-    axes = [g.index(v) for part in parts for v in part]
-    rest = sorted(set(range(len(g.vertices))).difference(axes))
-    k = t.probs.shape[0]
-    return t.probs.transpose(axes + rest).reshape(*(k ** len(part) for part in parts), -1)
+class _Plan:
+    """The discrete lab's bookkeeping for one graph.
+
+    `cliques` maps each 2-clique, keyed in graph order, to the index that
+    holds every other vertex at state 0.  `subsets(order)`, built per order
+    on first use from closed-neighbourhood bitmasks, lists in
+    `itertools.combinations` order each vertex set A whose closed
+    order-`order` neighbourhood falls short of V, as (A, its boundary S in
+    graph order, the axes of A, then S, then the rest).
+    """
+
+    __slots__ = ("cliques", "_graph", "_subsets")
+
+    def __init__(self, g: Graph):
+        keys = (tuple(sorted(c, key=g.index)) for c in cliques(g, 2))
+        self.cliques = {key: tuple(slice(None) if v in key else 0 for v in g.vertices) for key in keys}
+        self._graph = g
+        self._subsets = {}
+
+    def subsets(self, order: int) -> list:
+        if order in self._subsets:
+            return self._subsets[order]
+        g = self._graph
+        h = g if order == 1 else square_graph(g)
+        nv = len(g.vertices)
+        closed = [1 << i | sum(1 << g.index(w) for w in h.neighbors(v)) for i, v in enumerate(g.vertices)]
+        out = self._subsets[order] = []
+        for r in range(1, nv + 1):
+            for a in itertools.combinations(range(nv), r):
+                reach = 0
+                for i in a:
+                    reach |= closed[i]
+                if reach == (1 << nv) - 1:
+                    continue
+                s = tuple(i for i in range(nv) if reach >> i & 1 and i not in a)
+                rest = tuple(i for i in range(nv) if not reach >> i & 1)
+                out.append((tuple(g.vertices[i] for i in a), tuple(g.vertices[i] for i in s), a + s + rest))
+        return out
+
+
+def _plan(g: Graph) -> _Plan:
+    """The plan of `g`, built on first use and stored on `g` (as `square_graph` stores G²)."""
+    if g._plan is None:
+        g._plan = _Plan(g)
+    return g._plan
 
 
 class FactorModel:
@@ -81,17 +118,16 @@ class FactorModel:
             raise ValueError(f"state space k^|V| = {k}^{nv} exceeds the exact-computation cap")
         self.graph = graph
         self.k = int(k)
-        square = square_graph(graph)
         self.factors = {}
         for key, table in (factors or {}).items():
             key = tuple(sorted(key, key=graph.index))
-            # the square graph has no self-loops, so a repeated vertex fails too
-            if not key or not all(square.has_edge(u, w) for u, w in itertools.combinations(key, 2)):
+            # 2-cliques have distinct vertices, so a repeated vertex fails too
+            if key not in _plan(graph).cliques:
                 raise ValueError(f"{key!r} is not a 2-clique of the graph")
             table = np.asarray(table, dtype=float)
             if table.shape != (k,) * len(key):
                 raise ValueError(f"factor on {key!r} must have shape {(k,) * len(key)}")
-            if np.any(table < 0) or not np.all(np.isfinite(table)):
+            if (table < 0).any() or not np.isfinite(table).all():
                 raise ValueError(f"factor on {key!r} must be nonnegative and finite")
             if key in self.factors:
                 self.factors[key] = self.factors[key] * table
@@ -103,15 +139,9 @@ class FactorModel:
             w = np.asarray(w, dtype=float)
             if w.shape != (k,):
                 raise ValueError(f"base weight for {v!r} must have shape ({k},)")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
+            if (w < 0).any() or not np.isfinite(w).all():
                 raise ValueError(f"base weight for {v!r} must be nonnegative and finite")
             self.base[v] = w
-
-    @property
-    def strictly_positive(self) -> bool:
-        return all(np.all(t > 0) for t in self.factors.values()) and all(
-            np.all(w > 0) for w in self.base.values()
-        )
 
     def to_config(self) -> dict:
         g = self.graph
@@ -160,7 +190,7 @@ class JointTable:
             raise ValueError("one axis per vertex required")
         if len(set(p.shape)) > 1:
             raise ValueError("every vertex needs the same number of states")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        if (p < 0).any() or not np.isfinite(p).all():
             raise ValueError("probabilities must be nonnegative and finite")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("table must sum to 1")
@@ -233,37 +263,30 @@ def check_mrf_bruteforce(t: JointTable, g: Graph, order: int, tol: float = 1e-10
 
     Returns the worst total-variation violation over (A, boundary config).
     This is the reference test: it enumerates all 2^|V| - 1 sets A and
-    assumes nothing about the law.
+    assumes nothing about the law.  The sets, their boundaries and axes
+    come from the graph's plan, built once per graph.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if t.labels != g.vertices:
         raise ValueError("table does not index this graph's vertices")
-    nv = len(g.vertices)
-    k = t.probs.shape[0] if nv else 1
-    bnd = boundary if order == 1 else boundary2
+    k = t.probs.shape[0] if g.vertices else 1
     max_violation = 0.0
     worst = None
-    for r in range(1, nv + 1):
-        for a_labs in itertools.combinations(g.vertices, r):
-            s_labs = tuple(sorted(bnd(g, a_labs), key=g.index))
-            if r + len(s_labs) == nv:
-                continue
-            p = _grouped(t, g, a_labs, s_labs)
-            ps = p.sum(axis=(0, 2))
-            live = ps > 0
-            cond = np.zeros_like(p)
-            cond[:, live, :] = p[:, live, :] / ps[live][None, :, None]
-            ca = cond.sum(axis=2)
-            cc = cond.sum(axis=0)
-            prod = ca[:, :, None] * cc[None, :, :]
-            tv = 0.5 * np.abs(cond - prod).sum(axis=(0, 2))
-            tv[~live] = 0.0
-            j = int(np.argmax(tv))
-            if tv[j] > max_violation:
-                cfg = tuple(int(x) for x in np.unravel_index(j, (k,) * len(s_labs))) if s_labs else ()
-                max_violation = float(tv[j])
-                worst = Violation(a_labs, s_labs, cfg, float(tv[j]))
+    for a_labs, s_labs, axes in _plan(g).subsets(order):
+        p = t.probs.transpose(axes).reshape(k ** len(a_labs), k ** len(s_labs), -1)
+        ps = p.sum(axis=(0, 2))
+        # a boundary state of probability 0 has p = 0, so cond = 0 and tv = 0 there
+        cond = p / np.where(ps > 0, ps, 1.0)[:, None]
+        ca = cond.sum(axis=2)
+        cc = cond.sum(axis=0)
+        prod = ca[:, :, None] * cc[None, :, :]
+        tv = 0.5 * np.abs(cond - prod).sum(axis=(0, 2))
+        j = int(np.argmax(tv))
+        if tv[j] > max_violation:
+            cfg = tuple(int(x) for x in np.unravel_index(j, (k,) * len(s_labs))) if s_labs else ()
+            max_violation = float(tv[j])
+            worst = Violation(a_labs, s_labs, cfg, float(tv[j]))
     return MrfCheck(order, max_violation, worst, tol)
 
 
@@ -276,6 +299,8 @@ def factorize_positive_2mrf(t: JointTable, g: Graph, tol: float = 1e-10) -> Fact
     square graph, a strictly positive table is a second-order MRF on g exactly
     when it factorizes over the 2-cliques of g, so a reconstruction that
     differs from the input by more than `tol` in total variation is rejected.
+    The 2-cliques and their state-0 slices come from the graph's plan, built
+    once per graph.
     """
     if t.labels != g.vertices:
         raise ValueError("table does not index this graph's vertices")
@@ -285,12 +310,11 @@ def factorize_positive_2mrf(t: JointTable, g: Graph, tol: float = 1e-10) -> Fact
     logp = np.log(t.probs)
     base = {}
     factors = {}
-    for clique in cliques(g, 2):
-        key = tuple(sorted(clique, key=g.index))
+    for key, held in _plan(g).cliques.items():
         # every vertex outside the clique held at state 0, then differenced
-        diff = logp[tuple(slice(None) if v in clique else 0 for v in g.vertices)]
+        diff = logp[held]
         for ax in range(len(key)):
-            diff = diff - np.take(diff, [0], axis=ax)
+            diff = diff - diff[(slice(None),) * ax + (slice(0, 1),)]
         table = np.exp(diff)
         if len(key) == 1:
             base[key[0]] = table
@@ -400,13 +424,14 @@ class ConditionalKernel:
     max_discrepancy: float
 
 
-def conditional_specification(m: FactorModel, a_set) -> ConditionalKernel:
+def conditional_specification(m: FactorModel, a_set, joint: JointTable | None = None) -> ConditionalKernel:
     """Kernel x_{boundary2(A)} -> law of X_A, computed two independent ways.
 
-    Route one conditions the exact joint table; route two uses only the
-    factors meeting A (the local specification formula).  The two must
-    agree within 1e-10 on every boundary configuration of positive
-    probability, else this raises.
+    Route one conditions the exact joint table, `joint` when the caller has
+    already built `joint_table(m)`; route two uses only the factors meeting
+    A (the local specification formula).  The two must agree within 1e-10
+    on every boundary configuration of positive probability, else this
+    raises.
     """
     g = m.graph
     k = m.k
@@ -414,8 +439,14 @@ def conditional_specification(m: FactorModel, a_set) -> ConditionalKernel:
     if not a:
         raise ValueError("target set is empty")
     b = tuple(sorted(boundary2(g, a), key=g.index))
+    if joint is None:
+        joint = joint_table(m)
+    elif joint.labels != g.vertices or joint.probs.shape[:1] != (k,):
+        raise ValueError("joint table does not index this model's vertices and states")
 
-    p = _grouped(joint_table(m), g, b, a).sum(axis=2)
+    axes = [g.index(v) for v in b + a]
+    rest = [i for i in range(len(g.vertices)) if i not in axes]
+    p = joint.probs.transpose(axes + rest).reshape(k ** len(b), k ** len(a), -1).sum(axis=2)
     pb = p.sum(axis=1)
     live = pb > 0
     exact = np.full_like(p, np.nan)
@@ -439,37 +470,3 @@ def conditional_specification(m: FactorModel, a_set) -> ConditionalKernel:
     shape = (k,) * len(b) + (k,) * len(a)
     return ConditionalKernel(a, b, kernel.reshape(shape), zero, disc)
 
-
-def gibbs_sampler(m: FactorModel, sweeps: int, seed: int) -> np.ndarray:
-    """Single-site Gibbs sweeps in fixed vertex order; one row per sweep.
-
-    Requires strictly positive factors so every conditional is well defined.
-    """
-    if not m.strictly_positive:
-        raise ValueError("Gibbs sampling requires strictly positive factors")
-    g = m.graph
-    k = m.k
-    nv = len(g.vertices)
-    touching = []
-    for vi, v in enumerate(g.vertices):
-        items = []
-        if v in m.base:
-            items.append(((vi,), m.base[v]))
-        for key, table in m.factors.items():
-            if v in key:
-                items.append((tuple(g.index(u) for u in key), table))
-        touching.append(items)
-    rng = np.random.default_rng(seed)
-    cur = rng.integers(0, k, size=nv)
-    u = rng.random((sweeps, nv))
-    out = np.empty((sweeps, nv), dtype=np.int64)
-    for s in range(sweeps):
-        for vi in range(nv):
-            w = np.ones(k)
-            for axes, table in touching[vi]:
-                sel = tuple(slice(None) if a == vi else cur[a] for a in axes)
-                w = w * table[sel]
-            cum = np.cumsum(w)
-            cur[vi] = np.searchsorted(cum, u[s, vi] * cum[-1], side="right")
-        out[s] = cur
-    return out

@@ -52,7 +52,7 @@ class Graph:
         Distinguished vertex used by balls and truncations.
     """
 
-    __slots__ = ("_vertices", "_index", "_adj", "_root", "_square")
+    __slots__ = ("_vertices", "_index", "_adj", "_root", "_square", "_plan")
 
     def __init__(self, vertices, edges=(), root=None):
         verts = tuple(vertices)
@@ -78,6 +78,7 @@ class Graph:
         self._adj = {v: tuple(sorted(nbr_sets[v], key=index.__getitem__)) for v in verts}
         self._root = root
         self._square = None
+        self._plan = None
 
     @property
     def vertices(self):

@@ -1,3 +1,7 @@
+import itertools
+import json
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -11,7 +15,6 @@ from netdiff.discrete import (
     factor_model_from_json,
     factor_model_to_json,
     factorize_positive_2mrf,
-    gibbs_sampler,
     joint_table,
     marginalize,
     project_to_truncation,
@@ -19,9 +22,19 @@ from netdiff.discrete import (
     random_factor_model,
     total_variation,
 )
-from netdiff.discrete import _weights
+from netdiff.discrete import MrfCheck, Violation, _plan, _weights
 from netdiff.gaussian import build_linear_system, path_covariance
-from netdiff.graphs import Graph, cliques, complete_graph, cycle_graph, grid_graph, is_2cutset, path_graph
+from netdiff.graphs import (
+    Graph,
+    boundary,
+    boundary2,
+    cliques,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    is_2cutset,
+    path_graph,
+)
 from netdiff.independence import mrf_order_scan
 from netdiff.initials import FactorModelInitial
 
@@ -87,7 +100,7 @@ def test_marginalize_rejects_unknown_labels():
 def test_factor_model_validation():
     with pytest.raises(ValueError):
         FactorModel(path_graph(21), 2)  # 2^21 exceeds the cap
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a 2-clique"):
         FactorModel(path_graph(4), 2, {(1, 4): np.ones((2, 2))})  # distance 3
     with pytest.raises(ValueError):
         FactorModel(path_graph(2), 2, {(1, 2): -np.ones((2, 2))})
@@ -96,6 +109,11 @@ def test_factor_model_validation():
     for key in ((1, 1), (1, 2, 2), ()):  # a repeated vertex, or none
         with pytest.raises(ValueError, match="not a 2-clique"):
             FactorModel(path_graph(3), 2, {key: np.ones((2,) * len(key))})
+    # a clique read from JSON is validated the same way
+    cfg = FactorModel(path_graph(4), 2, {(1, 3): np.ones((2, 2))}).to_config()
+    cfg["factors"]["1|3"]["clique"] = [1, 4]
+    with pytest.raises(ValueError, match="not a 2-clique"):
+        factor_model_from_json(json.dumps(cfg))
 
 
 def p3_dependent_table():
@@ -123,6 +141,75 @@ def test_check_mrf_product_measure():
     m = FactorModel(g, 2, {}, {v: np.array([0.3, 0.7]) for v in g.vertices})
     res = check_mrf_bruteforce(joint_table(m), g, 1)
     assert res.ok and res.max_violation < 1e-14
+
+
+def _check_by_boundaries(t, g, order):
+    """The exhaustive check as it was before the per-graph plan: one
+    boundary call, one sort and one set difference per subset, and a masked
+    division by the boundary marginal.  Also returns how many boundary
+    states of probability zero it met."""
+    nv = len(g.vertices)
+    k = t.probs.shape[0]
+    bnd = boundary if order == 1 else boundary2
+    max_violation, worst, dead = 0.0, None, 0
+    for r in range(1, nv + 1):
+        for a_labs in itertools.combinations(g.vertices, r):
+            s_labs = tuple(sorted(bnd(g, a_labs), key=g.index))
+            if r + len(s_labs) == nv:
+                continue
+            axes = [g.index(v) for v in a_labs + s_labs]
+            rest = sorted(set(range(nv)).difference(axes))
+            p = t.probs.transpose(axes + rest).reshape(k**r, k ** len(s_labs), -1)
+            ps = p.sum(axis=(0, 2))
+            live = ps > 0
+            dead += int((~live).sum())
+            cond = np.zeros_like(p)
+            cond[:, live, :] = p[:, live, :] / ps[live][None, :, None]
+            ca = cond.sum(axis=2)
+            cc = cond.sum(axis=0)
+            prod = ca[:, :, None] * cc[None, :, :]
+            tv = 0.5 * np.abs(cond - prod).sum(axis=(0, 2))
+            tv[~live] = 0.0
+            j = int(np.argmax(tv))
+            if tv[j] > max_violation:
+                cfg = tuple(int(x) for x in np.unravel_index(j, (k,) * len(s_labs))) if s_labs else ()
+                max_violation = float(tv[j])
+                worst = Violation(a_labs, s_labs, cfg, float(tv[j]))
+    return MrfCheck(order, max_violation, worst, 1e-10), dead
+
+
+def test_planned_check_matches_the_boundary_loop_on_the_atlas():
+    rng = np.random.default_rng(43)
+    atlas = [h for h in nx.graph_atlas_g() if 2 <= len(h) <= 5 and nx.is_connected(h)]
+    assert len(atlas) == 30
+    dead = failed = 0
+    for h, k in itertools.product(atlas, (2, 3)):
+        g = Graph(range(len(h)), h.edges())
+        shape = (k,) * len(h)
+        positive = rng.uniform(0.5, 1.5, size=shape)
+        # zeros at random and wherever the first two vertices are both 1,
+        # so some boundary states have probability zero
+        sparse = np.where(rng.uniform(size=shape) < 0.3, 0.0, positive)
+        sparse[1, 1] = 0.0
+        tables = [joint_table(random_factor_model(g, k, rng))]
+        tables += [JointTable(p / p.sum(), g.vertices) for p in (positive, sparse)]
+        for t, order in itertools.product(tables, (1, 2)):
+            want, zeros = _check_by_boundaries(t, g, order)
+            got = check_mrf_bruteforce(t, g, order)
+            assert np.float64(got.max_violation).tobytes() == np.float64(want.max_violation).tobytes()
+            assert got.worst == want.worst
+            dead += zeros
+            failed += not got.ok
+    assert dead > 0 and failed > 0
+
+
+def test_plan_is_built_once_per_graph():
+    g = grid_graph(2, 3)
+    plan = _plan(g)
+    assert _plan(g) is plan and plan.subsets(2) is plan.subsets(2)
+    check_mrf_bruteforce(joint_table(random_factor_model(g, 2, np.random.default_rng(1))), g, 2)
+    assert g._plan is plan
+    assert list(plan.cliques) == [tuple(sorted(c, key=g.index)) for c in cliques(g, 2)]
 
 
 @pytest.mark.parametrize("maker", [lambda: path_graph(5), lambda: grid_graph(2, 3), lambda: complete_graph(4)])
@@ -385,6 +472,25 @@ def test_conditional_specification_routes_agree_p5():
     np.testing.assert_allclose(ker.table.reshape(16, 2), cond, atol=1e-12)
 
 
+def test_conditional_specification_conditions_the_joint_it_is_given():
+    g = grid_graph(2, 3)
+    rng = np.random.default_rng(25)
+    m = random_factor_model(g, 3, rng)
+    joint = joint_table(m)
+    for a in ([(0, 0)], [(0, 1), (1, 1)]):
+        fresh, given = conditional_specification(m, a), conditional_specification(m, a, joint)
+        assert given.table.tobytes() == fresh.table.tobytes()
+        assert (given.boundary, given.zero_boundary, given.max_discrepancy) == (
+            fresh.boundary, fresh.zero_boundary, fresh.max_discrepancy
+        )
+    # route one reads the table it is given, so another model's joint fails
+    with pytest.raises(ValueError, match="routes disagree"):
+        conditional_specification(m, [(0, 0)], joint_table(random_factor_model(g, 3, rng)))
+    for other in (joint_table(random_factor_model(g, 2, rng)), joint_table(random_factor_model(path_graph(6), 3, rng))):
+        with pytest.raises(ValueError, match="does not index"):
+            conditional_specification(m, [(0, 0)], other)
+
+
 def shared_kernel_models():
     # two graphs agreeing on every clique that meets A = {1}
     rng = np.random.default_rng(33)
@@ -421,31 +527,6 @@ def test_conditional_specification_zero_boundary_reported():
     # configurations with x3 = 1 are impossible
     assert ker.zero_boundary == ((0, 1), (1, 1))
     assert np.all(np.isfinite(ker.table[:, 0, :]))
-
-
-def test_gibbs_matches_exact_table():
-    g = path_graph(3)
-    m = FactorModel(g, 2, {(1, 2): EQ_FACTOR, (2, 3): EQ_FACTOR})
-    samples = gibbs_sampler(m, 100_000, seed=7)
-    emp = empirical_table(samples, 2, g.vertices)
-    assert total_variation(emp, joint_table(m)) < 0.02
-
-
-def test_gibbs_uniform_and_deterministic():
-    g = path_graph(2)
-    m = FactorModel(g, 2, {(1, 2): np.ones((2, 2))})
-    a = gibbs_sampler(m, 30_000, seed=3)
-    b = gibbs_sampler(m, 30_000, seed=3)
-    assert np.array_equal(a, b)
-    emp = empirical_table(a, 2, g.vertices)
-    assert total_variation(emp, joint_table(m)) < 0.02
-
-
-def test_gibbs_requires_positive_factors():
-    g = path_graph(2)
-    m = FactorModel(g, 2, {(1, 2): np.array([[1.0, 0.0], [0.0, 1.0]])})
-    with pytest.raises(ValueError):
-        gibbs_sampler(m, 10, seed=1)
 
 
 def cond_indep_tv(t: JointTable, g, a, b, s):

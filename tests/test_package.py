@@ -14,7 +14,7 @@ TOP_LEVEL = {
     "build_linear_system", "check_mrf_bruteforce", "cliques", "complete_graph", "conditional_covariance",
     "conditional_specification", "covariance_at", "cycle_graph", "empirical_table", "energy_distance",
     "ensemble_summary_csv", "entropy_bound_estimate", "exact_gaussian_ci", "factor_model_from_json",
-    "factor_model_to_json", "factorize_positive_2mrf", "format_edge_list", "gibbs_sampler",
+    "factor_model_to_json", "factorize_positive_2mrf", "format_edge_list",
     "girsanov_weights", "graph_distance", "grid_graph", "is_2cutset", "joint_table", "linear_system",
     "load_config", "load_ensemble", "marginalize", "matrix_csv", "mrf_order_scan", "order_summary",
     "parse_drift", "parse_edge_list", "partial_correlation_ci_test", "path_covariance", "path_graph",
