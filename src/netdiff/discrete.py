@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,7 @@ _MAX_TABLE = 2**20
 
 def _weights(m: "FactorModel", scope, vertices, keys) -> np.ndarray:
     """Product over the axes of `scope`: base weights of `vertices` first,
-    then the factors of `m` on `keys`, in the order given.  Each table is
-    transposed to ascending scope axes and broadcast over the others."""
+    then the factors of `m` on `keys`, in the order given, each broadcast."""
     pos = {v: i for i, v in enumerate(scope)}
     w = np.ones((m.k,) * len(scope))
     items = [((v,), m.base[v]) for v in vertices if v in m.base] + [(key, m.factors[key]) for key in keys]
@@ -57,23 +57,24 @@ def _weights(m: "FactorModel", scope, vertices, keys) -> np.ndarray:
 
 
 class _Plan:
-    """The discrete lab's bookkeeping for one graph.
+    """The discrete lab's bookkeeping for one graph, each part built on first use.
 
-    `cliques` maps each 2-clique, keyed in graph order, to the index that
-    holds every other vertex at state 0.  `subsets(order)`, built per order
-    on first use from closed-neighbourhood bitmasks, lists in
-    `itertools.combinations` order each vertex set A whose closed
-    order-`order` neighbourhood falls short of V, as (A, its boundary S in
-    graph order, the axes of A, then S, then the rest).
+    `cliques` maps each 2-clique, keyed in graph order, to the index holding
+    every other vertex at state 0.  `subsets(order)` lists in combinations
+    order each vertex set A whose closed order-`order` neighbourhood (a
+    bitmask) misses a vertex, as (A, its boundary S in graph order, the axes
+    of A, then S, then the rest).
     """
 
-    __slots__ = ("cliques", "_graph", "_subsets")
-
     def __init__(self, g: Graph):
-        keys = (tuple(sorted(c, key=g.index)) for c in cliques(g, 2))
-        self.cliques = {key: tuple(slice(None) if v in key else 0 for v in g.vertices) for key in keys}
         self._graph = g
         self._subsets = {}
+
+    @cached_property
+    def cliques(self) -> dict:
+        g = self._graph
+        keys = (tuple(sorted(c, key=g.index)) for c in cliques(g, 2))
+        return {key: tuple(slice(None) if v in key else 0 for v in g.vertices) for key in keys}
 
     def subsets(self, order: int) -> list:
         if order in self._subsets:
@@ -118,11 +119,12 @@ class FactorModel:
             raise ValueError(f"state space k^|V| = {k}^{nv} exceeds the exact-computation cap")
         self.graph = graph
         self.k = int(k)
+        square = square_graph(graph)
         self.factors = {}
         for key, table in (factors or {}).items():
             key = tuple(sorted(key, key=graph.index))
-            # 2-cliques have distinct vertices, so a repeated vertex fails too
-            if key not in _plan(graph).cliques:
+            # the square graph has no self-loops, so a repeated vertex fails too
+            if not key or not all(square.has_edge(u, w) for u, w in itertools.combinations(key, 2)):
                 raise ValueError(f"{key!r} is not a 2-clique of the graph")
             table = np.asarray(table, dtype=float)
             if table.shape != (k,) * len(key):

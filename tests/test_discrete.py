@@ -210,6 +210,11 @@ def test_plan_is_built_once_per_graph():
     check_mrf_bruteforce(joint_table(random_factor_model(g, 2, np.random.default_rng(1))), g, 2)
     assert g._plan is plan
     assert list(plan.cliques) == [tuple(sorted(c, key=g.index)) for c in cliques(g, 2)]
+    # a model alone never lists the 2-cliques: a star's square graph is
+    # complete, so it has 2^12 - 1 of them
+    star = Graph(range(12), [(0, i) for i in range(1, 12)])
+    conditional_specification(random_factor_model(star, 2, np.random.default_rng(2)), [1])
+    assert star._plan is None
 
 
 @pytest.mark.parametrize("maker", [lambda: path_graph(5), lambda: grid_graph(2, 3), lambda: complete_graph(4)])
