@@ -471,4 +471,3 @@ def conditional_specification(m: FactorModel, a_set, joint: JointTable | None = 
     )
     shape = (k,) * len(b) + (k,) * len(a)
     return ConditionalKernel(a, b, kernel.reshape(shape), zero, disc)
-
