@@ -652,6 +652,40 @@ def test_ladder_rows_carry_the_paired_diagonal():
     assert table.rows[0].energy_distance == pytest.approx(u_stat - 2 / R * (off_cross - paired), rel=1e-9)
 
 
+def _ladder_oracle(drift, mu0, window, t, ns, n_replicas, seed, steps, substeps=1):
+    """The per-level ladder: one simulate_truncated per level, then the public distances per row."""
+    ns = sorted(set(ns))
+    grid = np.linspace(0.0, t, steps + 1)
+    marginals = {}
+    for n in ns:
+        ens = simulate_truncated(z_line(), None, n, drift, UNIT, mu0, grid, n_replicas, seed, substeps)
+        marginals[n] = ens.values[:, [ens.graph.index(v) for v in window], -1, :].reshape(n_replicas, -1)
+    ref = marginals[ns[-1]]
+    return [
+        (n, energy_distance(marginals[n], ref), max(_ks_statistic(marginals[n][:, i], ref[:, i]) for i in range(ref.shape[1])))
+        for n in ns
+    ]
+
+
+@pytest.mark.parametrize(
+    "drift, mu0, levels, substeps, R",
+    [
+        (P5_DRIFT, PointMass(0.0), [4, 6, 8], 1, 700),
+        (P5_DRIFT, NormalInitial(0, 1), [4, 6, 8], 1, 700),
+        (parse_drift("nbr_sum(tanh(y)) - x + 0.5*runavg(x, 0.5)"), NormalInitial(0, 1), [4, 6, 8], 1, 700),
+        (P5_DRIFT, NormalInitial(0, 1), [4, 6, 8], 2, 700),
+        (P5_DRIFT, PointMass(0.0), [8, 4, 6, 4], 1, 700),
+        (P5_DRIFT, NormalInitial(0, 1), [4, 5], 1, _ENERGY_POINTS + 100),  # past the energy points' cut
+        (P5_DRIFT, NormalInitial(0, 1), [5], 1, 700),
+    ],
+)
+def test_ladder_matches_the_per_level_loop_bit_for_bit(drift, mu0, levels, substeps, R):
+    window = [-1, 0, 1]
+    table = truncation_convergence(z_line(), drift, UNIT, mu0, window, 1.0, levels, R, seed=12, steps=6, substeps=substeps)
+    got = [(r.n, r.energy_distance, r.ks_max) for r in table]
+    assert got == _ladder_oracle(drift, mu0, window, 1.0, levels, R, 12, 6, substeps)
+
+
 def dcor_stat(a, b):
     def centered(m):
         return m - m.mean(0) - m.mean(1)[:, None] + m.mean()
