@@ -238,7 +238,7 @@ def _first_bad(block, labels, t):  # block (V, R, d), searched in (replica, vert
     return SimulationError(int(r), labels[int(vi)], float(t))
 
 
-def _run(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps, measure):
+def _run(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps, measure, tape=None):
     grid = _check_grid(grid)
     if n_replicas < 1:
         raise ValueError("need at least one replica")
@@ -259,12 +259,21 @@ def _run(g, drift, diffusion, mu0, grid, n_replicas, seed, substeps, measure):
     # overflow during stepping is handled by the non-finite check below,
     # reported as a SimulationError rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        _step_all(g, grid, store, plan, substeps, seed)
+        _step_all(g, grid, store, plan, substeps, seed, tape)
     scheme = {"kind": "euler_maruyama", "substeps": int(substeps)}
     return PathEnsemble(g, grid, store.transpose(_STORE), int(seed), scheme, measure)
 
 
-def _step_all(g, grid, store, plan, substeps, seed):
+@dataclass
+class _Tape:
+    """Unscaled normals of some labels at every Euler step (substeps=1): the
+    first run given the tape draws and records them, later runs copy them."""
+
+    rows: dict  # label -> row of noise
+    noise: np.ndarray | None = None  # (labels, steps, R, d)
+
+
+def _step_all(g, grid, store, plan, substeps, seed, tape=None):
     """Fill store[1:] of a (T, V, R, d) store by Euler steps on a (V, R, d) state
     with each group one block of rows: own state, noise and new state are slices."""
     order = np.concatenate([grp.rows for grp in plan])
@@ -277,7 +286,14 @@ def _step_all(g, grid, store, plan, substeps, seed):
     # noise, the next state, and each group's gathered neighbours
     buffers = [np.empty((grp.nbrs.shape[1],) + cur[lo:hi].shape) for grp, lo, hi in zip(plan, bounds, bounds[1:])]
     blocks = [(grp, slice(lo, hi), block[grp.nbrs.T], buf) for grp, lo, hi, buf in zip(plan, bounds, bounds[1:], buffers)]
-    streams = [noise_stream(seed, 0, v) for grp in plan for v in grp.labels]
+    labels = [v for grp in plan for v in grp.labels]
+    taped = {} if tape is None else tape.rows
+    record = tape is not None and tape.noise is None
+    if record:
+        tape.noise = np.empty((len(taped), grid.size - 1) + cur.shape[1:])
+    copies = [(i, taped[v]) for i, v in enumerate(labels) if v in taped]  # (row of z, row of the tape)
+    drawn = [i for i, v in enumerate(labels) if record or v not in taped]
+    streams = [noise_stream(seed, 0, labels[i]) for i in drawn]
     states = [gen.bit_generator.state for gen in streams]
     for k in range(grid.size - 1):
         h = (grid[k + 1] - grid[k]) / substeps
@@ -285,10 +301,15 @@ def _step_all(g, grid, store, plan, substeps, seed):
         for j in range(substeps):
             t_sub = grid[k] + j * h
             step = k * substeps + j
-            for i, (gen, state) in enumerate(zip(streams, states)):
+            for i, gen, state in zip(drawn, streams, states):
                 state["state"]["counter"][1] = step
                 gen.bit_generator.state = state
                 gen.standard_normal(out=z[i])
+            for i, j in copies:  # before the in-place scaling below
+                if record:
+                    tape.noise[j, step] = z[i]
+                else:
+                    z[i] = tape.noise[j, step]
             for grp, rows, nbrs, buf in blocks:
                 x = cur[rows]
                 dx = grp.sigma.noise_increment(x, np.multiply(z[rows], sqrt_h, out=z[rows]))
@@ -377,18 +398,19 @@ def _distance_sum(x: np.ndarray, y: np.ndarray | None = None) -> float:
     return total
 
 
-def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
+def energy_distance(x: np.ndarray, y: np.ndarray, *, y_sum: float | None = None) -> float:
     """Sample energy distance on the first ``_ENERGY_POINTS`` points of two clouds (n, p); (n,) is n points in 1-D.
 
     Self means run over i != j, the cross mean over all n·m pairs: unbiased for independent samples, not for the
-    ladder's paired ones (see TruncationRow).  ``energy_distance(x, x)`` is -(2/n)·(mean pairwise distance)."""
+    ladder's paired ones (see TruncationRow).  ``energy_distance(x, x)`` is -(2/n)·(mean pairwise distance).
+    ``y_sum``, if given, is ``_distance_sum`` of those points of y, and is not computed again."""
     same = x is y
     x, y = (np.asarray(a, dtype=float).reshape(len(a), -1)[:_ENERGY_POINTS] for a in (x, y))
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError("need at least two points per sample")
-    sx = _distance_sum(x)
-    sy, sxy = (sx, 2.0 * sx) if same else (_distance_sum(y), _distance_sum(x, y))
+    sy = _distance_sum(y) if y_sum is None else y_sum
+    sx, sxy = (sy, 2.0 * sy) if same else (_distance_sum(x), _distance_sum(x, y))
     return float(2 * (sxy / (n * m)) - 2.0 * sx / (n * (n - 1)) - 2.0 * sy / (m * (m - 1)))
 
 
@@ -450,7 +472,11 @@ def truncation_convergence(
 
     All levels run on common random numbers (label-keyed streams, same seed),
     so the distances isolate the truncation effect.  The monotone trend is
-    reported, not enforced.
+    reported, not enforced.  The largest level runs first and, with
+    substeps=1, records the normals of the second-largest level's labels,
+    so each (label, step) block is drawn once per ladder; with substeps > 1
+    each level draws its own.  A level's paths are dropped once its window
+    is read, and the reference's self-distance sum is computed once.
     """
     ns = sorted(set(int(n) for n in ns))
     window = list(window)
@@ -460,19 +486,22 @@ def truncation_convergence(
         raise ValueError(f"window vertices {outside!r} lie outside the smallest truncation's interior")
 
     grid = np.linspace(0.0, t, steps + 1)
-    marginals = {}
-    for n in ns:
-        ens = simulate_truncated(g_infinite, None, n, drift, diffusion, mu0, grid, n_replicas, seed, substeps)
-        idx = [ens.graph.index(v) for v in window]
-        marginals[n] = ens.values[:, idx, -1, :].reshape(n_replicas, -1)
-    ref = marginals[ns[-1]]
+    tape = None
+    if substeps == 1 and len(ns) > 1:  # recorded by the largest level, whose ball holds the smaller ones
+        tape = _Tape({v: i for i, v in enumerate(augmented_truncation(g_infinite, ns[-2]).vertices)})
     rows = []
-    for n in ns:
-        cur = marginals[n]
-        ed = energy_distance(cur, ref)
+    for n in reversed(ns):
+        g = augmented_truncation(g_infinite, n)
+        family = truncated_drift_family(drift, g_infinite, n)
+        ens = _run(g, family, diffusion, mu0, grid, n_replicas, seed, substeps, f"P_n({n})", tape)
+        cur = ens.values[:, [g.index(v) for v in window], -1, :].reshape(n_replicas, -1)
+        del ens  # the next level runs without these paths
+        if not rows:
+            ref, ref_sum = cur, _distance_sum(cur[:_ENERGY_POINTS])
+        ed = energy_distance(cur, ref, y_sum=ref_sum)
         ks = max(_ks_statistic(cur[:, i], ref[:, i]) for i in range(cur.shape[1]))
         rows.append(TruncationRow(n, ed, ks, n_replicas, min(n_replicas, _ENERGY_POINTS)))
-    return TruncationTable(tuple(rows))
+    return TruncationTable(tuple(reversed(rows)))
 
 
 def entropy_bound_estimate(ens: PathEnsemble, drift, diffusion, vertices, t) -> float:

@@ -686,6 +686,45 @@ def test_ladder_matches_the_per_level_loop_bit_for_bit(drift, mu0, levels, subst
     assert got == _ladder_oracle(drift, mu0, window, 1.0, levels, R, 12, 6, substeps)
 
 
+def test_ladder_draws_each_label_once(monkeypatch):
+    import netdiff.engine as engine
+
+    calls = []
+    real = engine.noise_stream
+
+    def counted(seed, step, vertex):
+        calls.append(vertex)
+        return real(seed, step, vertex)
+
+    monkeypatch.setattr(engine, "noise_stream", counted)
+    truncation_convergence(z_line(), P5_DRIFT, UNIT, PointMass(0.0), [-1, 0, 1], 1.0, [4, 6, 8], 50, seed=2, steps=4)
+    assert sorted(calls) == list(range(-8, 9))  # the largest level's 17 labels, each once
+    calls.clear()
+    _ladder_oracle(P5_DRIFT, PointMass(0.0), [-1, 0, 1], 1.0, [4, 6, 8], 50, 2, 4)
+    assert len(calls) == 9 + 13 + 17
+
+
+def test_ladder_peak_stays_below_the_two_store_loop():
+    import tracemalloc
+
+    R, levels, window = 3000, [4, 6, 8], [-1, 0, 1]
+    args = (P5_DRIFT, PointMass(0.0), window, 1.0, levels, R, 3, 16)
+    energy_distance(np.zeros((3, 1)), np.ones((3, 1)))  # import scipy.spatial outside the trace
+    peaks = []
+    for ladder in (
+        lambda: _ladder_oracle(*args),  # holds the previous level's paths while the next one runs
+        lambda: truncation_convergence(z_line(), P5_DRIFT, UNIT, PointMass(0.0), window, 1.0, levels, R, seed=3, steps=16),
+    ):
+        tracemalloc.start()
+        try:
+            ladder()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the loop's peak holds the level-6 and level-8 stores; the ladder's the level-8 store and a 16-step tape of 13 labels
+    assert peaks[1] < peaks[0]
+
+
 def dcor_stat(a, b):
     def centered(m):
         return m - m.mean(0) - m.mean(1)[:, None] + m.mean()
