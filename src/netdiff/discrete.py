@@ -28,7 +28,6 @@ __all__ = [
     "ConditionalKernel",
     "joint_table",
     "marginalize",
-    "empirical_table",
     "check_mrf_bruteforce",
     "factorize_positive_2mrf",
     "project_to_truncation",
@@ -217,20 +216,6 @@ def marginalize(t: JointTable, keep) -> JointTable:
     drop = tuple(i for i, lab in enumerate(t.labels) if lab not in keep)
     kept = [lab for lab in t.labels if lab in keep]
     return JointTable(t.probs.sum(axis=drop), kept)
-
-
-def empirical_table(samples: np.ndarray, k: int, labels) -> JointTable:
-    """Frequency table of integer configurations, shape-compatible with joint_table."""
-    raw = np.asarray(samples)
-    samples = raw.astype(int)
-    if np.any(samples != raw):
-        raise ValueError("states must be integers")
-    if samples.size and (samples.min() < 0 or samples.max() >= k):
-        raise ValueError(f"states must lie in 0..{k - 1}")
-    nv = samples.shape[1]
-    counts = np.zeros((k,) * nv)
-    np.add.at(counts, tuple(samples.T), 1.0)
-    return JointTable(counts / samples.shape[0], labels)
 
 
 def total_variation(a: JointTable, b: JointTable) -> float:

@@ -11,7 +11,6 @@ from netdiff.discrete import (
     JointTable,
     check_mrf_bruteforce,
     conditional_specification,
-    empirical_table,
     factor_model_from_json,
     factor_model_to_json,
     factorize_positive_2mrf,
@@ -39,6 +38,20 @@ from netdiff.independence import mrf_order_scan
 from netdiff.initials import FactorModelInitial
 
 EQ_FACTOR = np.array([[2.0, 1.0], [1.0, 2.0]])
+
+
+def empirical_table(samples: np.ndarray, k: int, labels) -> JointTable:
+    """Frequency table of integer configurations, shape-compatible with joint_table."""
+    raw = np.asarray(samples)
+    samples = raw.astype(int)
+    if np.any(samples != raw):
+        raise ValueError("states must be integers")
+    if samples.size and (samples.min() < 0 or samples.max() >= k):
+        raise ValueError(f"states must lie in 0..{k - 1}")
+    nv = samples.shape[1]
+    counts = np.zeros((k,) * nv)
+    np.add.at(counts, tuple(samples.T), 1.0)
+    return JointTable(counts / samples.shape[0], labels)
 
 
 def test_joint_table_uniform():

@@ -26,7 +26,6 @@ from netdiff.graphs import (
     square_graph,
     z_line,
 )
-from netdiff.graphs import _all_paths_hit_consecutive
 
 
 def random_graph(rng, n, p):
@@ -309,6 +308,27 @@ def test_2cutset_requires_disjoint_nonempty():
         is_2cutset(g, {1}, {1}, {2})
 
 
+def all_paths_hit_consecutive(g, sa, sb, ss):
+    """The exhaustive reference for is_2cutset: a DFS over simple paths from each
+    vertex of a, failing on a path that reaches b without crossing an s-s edge."""
+
+    def paths_ok(v, visited, had_pair, v_in_s):
+        if v in sb:
+            return had_pair
+        for w in g.neighbors(v):
+            if w in visited:
+                continue
+            pair = had_pair or (v_in_s and w in ss)
+            if not paths_ok(w, visited | {w}, pair, w in ss):
+                return False
+        return True
+
+    for start in sorted(sa, key=g.index):
+        if not paths_ok(start, {start}, False, start in ss):
+            return False
+    return True
+
+
 def test_2cutset_methods_agree():
     rng = np.random.default_rng(5)
     checked = 0
@@ -318,7 +338,7 @@ def test_2cutset_methods_agree():
         rng.shuffle(verts)
         a, b = {verts[0]}, {verts[1]}
         s = set(verts[2 : 2 + int(rng.integers(0, 4))])
-        via_paths = _all_paths_hit_consecutive(g, a, b, s)
+        via_paths = all_paths_hit_consecutive(g, a, b, s)
         via_square = is_2cutset(g, a, b, s)
         assert via_paths == via_square
         checked += 1

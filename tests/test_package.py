@@ -12,7 +12,7 @@ TOP_LEVEL = {
     "PointMass", "SimulationError", "StackedCovariance", "TanhDiagonalDiffusion", "TruncationTable",
     "UniformInitial", "adjacency_matrix", "augmented_truncation", "ball", "boundary", "boundary2",
     "build_linear_system", "check_mrf_bruteforce", "cliques", "complete_graph", "conditional_covariance",
-    "conditional_specification", "covariance_at", "cycle_graph", "empirical_table", "energy_distance",
+    "conditional_specification", "covariance_at", "cycle_graph", "energy_distance",
     "ensemble_summary_csv", "entropy_bound_estimate", "exact_gaussian_ci", "factor_model_from_json",
     "factor_model_to_json", "factorize_positive_2mrf", "format_edge_list",
     "girsanov_weights", "graph_distance", "grid_graph", "is_2cutset", "joint_table", "linear_system",
