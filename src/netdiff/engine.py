@@ -4,9 +4,11 @@ Each vertex carries its own counter-based noise stream keyed by
 (seed, step, vertex label), so ensembles are bit-reproducible and two
 graphs sharing a vertex see identical noise on it: truncation levels can
 be compared with common random numbers.  A run builds each vertex's
-stream once and re-keys it to every step.  Vertices that share a drift
-text, a diffusion object and a degree form a group, and each step evaluates
-the drift once per group, bitwise as a vertex-by-vertex loop would.
+stream once and re-keys it to every step; the truncation ladder draws each
+(label, step) block once per ladder (with substeps=1) and drops each level's
+paths once its window is read.  Vertices that share a drift text, a
+diffusion object and a degree form a group, and each step evaluates the
+drift once per group, bitwise as a vertex-by-vertex loop would.
 
 Paths live in a C-contiguous (T, V, R, d) store, one block per step, viewed
 as ``PathEnsemble.values`` by ``transpose(2, 1, 0, 3)``; ``runavg`` sums in
@@ -305,11 +307,11 @@ def _step_all(g, grid, store, plan, substeps, seed, tape=None):
                 state["state"]["counter"][1] = step
                 gen.bit_generator.state = state
                 gen.standard_normal(out=z[i])
-            for i, j in copies:  # before the in-place scaling below
+            for i, row in copies:  # before the in-place scaling below
                 if record:
-                    tape.noise[j, step] = z[i]
+                    tape.noise[row, step] = z[i]
                 else:
-                    z[i] = tape.noise[j, step]
+                    z[i] = tape.noise[row, step]
             for grp, rows, nbrs, buf in blocks:
                 x = cur[rows]
                 dx = grp.sigma.noise_increment(x, np.multiply(z[rows], sqrt_h, out=z[rows]))
