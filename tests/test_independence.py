@@ -372,6 +372,21 @@ def test_order_scan_input_validation():
         mrf_order_scan(P5, st, orders=(3,))
 
 
+@pytest.mark.parametrize("route", ["exact", "ensemble"])
+@pytest.mark.parametrize(
+    "bad_set, message",
+    [((1, 1), "duplicate vertex in A"), ((), "A and B must be nonempty"), ((9,), "unknown vertex 9")],
+    ids=["duplicate", "empty", "unknown"],
+)
+def test_order_scan_rejects_bad_sets(route, bad_set, message):
+    if route == "exact":
+        source = euler_stacked(8)
+    else:
+        source = simulate_driftless(P5, UNIT, PointMass(0.0), np.linspace(0.0, 1.0, 3), 600, seed=1)
+    with pytest.raises(ValueError, match=message):
+        mrf_order_scan(P5, source, sets=[bad_set])
+
+
 def test_report_emitters():
     reps = mrf_order_scan(P5, euler_stacked(16))
     recs = json.loads(reports_to_json(reps))
