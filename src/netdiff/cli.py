@@ -236,7 +236,7 @@ def cmd_ci_scan(cfg, opts):
         trust = {}
     # an order with no testable set holds vacuously
     found = order_summary(reports)
-    summary = {k: found.get(k, "pass") for k in sorted(set(orders))}
+    summary = {k: found.get(k, "pass") for k in sorted(orders)}
     artifacts = {
         "reports.json": reports_to_json(reports) + "\n",
         "summary.csv": reports_to_csv(reports),

@@ -151,7 +151,7 @@ OPTION_SCHEMAS = {
         "properties": {
             "mode": {"enum": ["exact", "ensemble"]},
             "scheme": {"enum": ["euler", "exact"]},
-            "orders": {"type": "array", "items": {"enum": [1, 2]}, "minItems": 1},
+            "orders": {"type": "array", "items": {"enum": [1, 2]}, "minItems": 1, "uniqueItems": True},
             "tol": {"type": "number", "exclusiveMinimum": 0},
             "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
             "feature_times": {"type": "array", "items": {"type": "number"}, "minItems": 1},

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, _truncate, boundary2, cliques, square_graph
+from .graphs import Graph, _closed_masks, _truncate, boundary2, cliques, square_graph
 from .graphs import _graph_from_json, _graph_to_json, _label_from_json, _label_to_json
 
 __all__ = [
@@ -61,8 +61,8 @@ class _Plan:
     `cliques` maps each 2-clique, keyed in graph order, to the index holding
     every other vertex at state 0.  `subsets(order)` lists in combinations
     order each vertex set A whose closed order-`order` neighbourhood (a
-    bitmask) misses a vertex, as (A, its boundary S in graph order, the axes
-    of A, then S, then the rest).
+    bitmask from `graphs._closed_masks`) misses a vertex, as (A, its boundary
+    S in graph order, the axes of A, then S, then the rest).
     """
 
     def __init__(self, g: Graph):
@@ -79,9 +79,8 @@ class _Plan:
         if order in self._subsets:
             return self._subsets[order]
         g = self._graph
-        h = g if order == 1 else square_graph(g)
         nv = len(g.vertices)
-        closed = [1 << i | sum(1 << g.index(w) for w in h.neighbors(v)) for i, v in enumerate(g.vertices)]
+        closed = _closed_masks(g, order)
         out = self._subsets[order] = []
         for r in range(1, nv + 1):
             for a in itertools.combinations(range(nv), r):

@@ -294,16 +294,20 @@ def path_covariance(
     dts = np.diff(grid).tolist()
     built = {dt: _step_matrices(sys, dt, scheme) for dt in set(dts)}
     steps = [built[dt] for dt in dts]
-    big = np.zeros((n, m, n, m))
+    c = np.empty((m, n, n))
     v = v0
     for k, (f, q) in enumerate(steps):
         v = f @ v @ f.T + q
-        c = 0.5 * (v + v.T)
-        big[:, k, :, k] = c
-        for l in range(k + 1, m):
-            c = c @ steps[l][0].T
-            big[:, k, :, l] = c
-            big[:, l, :, k] = c.T
+        c[k] = 0.5 * (v + v.T)
+    # lag by lag: C_j[k] = Cov(X(t_{k+1}), X(t_{k+j+1})) = C_{j-1}[k] F_{k+j}^T, for every k in one matmul
+    ft = np.stack([f.T for f, _ in steps])
+    big = np.zeros((n, m, n, m))
+    ks = np.arange(m)
+    big[:, ks, :, ks] = c
+    for j in range(1, m):
+        c = np.matmul(c[:-1], ft[j:])
+        big[:, ks[:-j], :, ks[j:]] = c
+        big[:, ks[j:], :, ks[:-j]] = c.transpose(0, 2, 1)
     big = big.reshape(n * m, n * m)
     return StackedCovariance(big, sys.labels, tuple(grid[1:]), scheme)
 

@@ -52,7 +52,7 @@ class Graph:
         Distinguished vertex used by balls and truncations.
     """
 
-    __slots__ = ("_vertices", "_index", "_adj", "_root", "_square", "_plan")
+    __slots__ = ("_vertices", "_index", "_adj", "_root", "_square", "_closed", "_plan")
 
     def __init__(self, vertices, edges=(), root=None):
         verts = tuple(vertices)
@@ -78,6 +78,7 @@ class Graph:
         self._adj = {v: tuple(sorted(nbr_sets[v], key=index.__getitem__)) for v in verts}
         self._root = root
         self._square = None
+        self._closed = {}
         self._plan = None
 
     @property
@@ -202,6 +203,15 @@ def square_graph(g: Graph) -> Graph:
         edges = [(v, w) for v in g.vertices for w in _bfs_distances(g, v, limit=2) if g.index(w) > g.index(v)]
         g._square = Graph(g.vertices, edges, root=g.root)
     return g._square
+
+
+def _closed_masks(g: Graph, order: int) -> tuple:
+    """Each vertex's closed neighbourhood in G (order 1) or G² (order 2) as a
+    bitmask over vertex indices, built on first use and stored on ``g``."""
+    if order not in g._closed:
+        h = g if order == 1 else square_graph(g)
+        g._closed[order] = tuple(1 << i | sum(1 << g._index[w] for w in h._adj[v]) for i, v in enumerate(g._vertices))
+    return g._closed[order]
 
 
 def cliques(g: Graph, order: int):

@@ -10,23 +10,26 @@ Two routes to the same question "is X_A independent of X_B given X_S?":
   a Schur complement of it.
 
 ``mrf_order_scan`` drives either route over a family of vertex sets and
-their first or second boundaries.
+their first or second boundaries.  It checks each set once and builds each
+(A, S, B) once, from closed-neighbourhood bitmasks of G and G²; each route
+supplies only the test of one canonical triple, which returns the finished
+report.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .engine import PathEnsemble
 from .gaussian import StackedCovariance, _precision_block_maxima, _schur_complement
-from .graphs import Graph, boundary, boundary2
+from .graphs import Graph, _closed_masks
 
 __all__ = [
     "CITestReport",
@@ -97,23 +100,32 @@ def exact_gaussian_ci(stacked: StackedCovariance, a, s, b, tol: float = 1e-8) ->
     :func:`netdiff.gaussian.path_precision_blocks`.
     """
     a, s, b = _check_triple(stacked.labels, a, s, b)
-    m = stacked.n_times
     # label order, not (a, s, b) order, so the result is exactly A-B symmetric
     pos = {lab: i for i, lab in enumerate(stacked.labels)}
     keep = tuple(sorted(a + s + b, key=pos.__getitem__))
+    at = {lab: i for i, lab in enumerate(keep)}
+    return _exact_report(_marginal_maxima(stacked, keep), at, len(keep) * stacked.n_times, tol, a, s, b)
+
+
+def _marginal_maxima(stacked: StackedCovariance, keep):
+    """Relative precision block maxima of the marginal on the label-ordered vertices ``keep``."""
     if len(keep) == stacked.n_vertices:
         # the marginal is the whole matrix: share its one cached factorization
-        rel = stacked._block_maxima[1]
-    else:
-        cols = np.concatenate([np.arange(pos[lab] * m, (pos[lab] + 1) * m) for lab in keep])
-        _, rel, _ = _precision_block_maxima(stacked.matrix[np.ix_(cols, cols)], m)
-    at = {lab: i for i, lab in enumerate(keep)}
+        return stacked._block_maxima[1]
+    m = stacked.n_times
+    pos = {lab: i for i, lab in enumerate(stacked.labels)}
+    cols = np.concatenate([np.arange(pos[lab] * m, (pos[lab] + 1) * m) for lab in keep])
+    return _precision_block_maxima(stacked.matrix[np.ix_(cols, cols)], m)[1]
+
+
+def _exact_report(rel, at, n_features, tol, a, s, b, order=None) -> CITestReport:
+    """The exact test's report, read off rows A and columns B of ``rel``, whose vertex ``v`` is ``at[v]``."""
     worst = float(rel[np.ix_([at[u] for u in a], [at[v] for v in b])].max())
     verdict = "independent" if worst < tol else "dependent"
     return CITestReport(
         a=a, s=s, b=b, mode="exact_gaussian",
         statistic=worst, threshold=tol, verdict=verdict,
-        n_features=len(keep) * m,
+        n_features=n_features, order=order,
     )
 
 
@@ -139,7 +151,7 @@ def _features(ens: PathEnsemble, labels, feature_grid):
     return xc.T @ xc, dict(zip(labels, np.arange(x.shape[1]).reshape(len(labels), -1)))
 
 
-def _partial_correlation(features, n, a, s, b, alpha) -> CITestReport:
+def _partial_correlation(features, n, alpha, a, s, b, order=None) -> CITestReport:
     """The Fisher-z test of A vs B given S on a Schur complement of the correlation matrix."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -154,7 +166,7 @@ def _partial_correlation(features, n, a, s, b, alpha) -> CITestReport:
     r_crit = float(np.tanh(-ndtri(alpha / (2.0 * n_pairs)) / np.sqrt(df)))
     common = dict(
         a=a, s=s, b=b, mode="partial_correlation", threshold=r_crit,
-        n_features=n_features, n_replicas=n, note=_HEURISTIC_NOTE,
+        n_features=n_features, n_replicas=n, order=order, note=_HEURISTIC_NOTE,
     )
     c = None
     if i_s.size == 0 or np.linalg.eigvalsh(corr[np.ix_(i_s, i_s)])[0] > _RANK_TOL:
@@ -187,13 +199,7 @@ def partial_correlation_ci_test(ens: PathEnsemble, a, s, b, feature_grid, alpha:
     variance yield an inconclusive report instead of a verdict.
     """
     a, s, b = _check_triple(ens.labels, a, s, b)
-    return _partial_correlation(_features(ens, a + s + b, feature_grid), ens.n_replicas, a, s, b, alpha)
-
-
-def _default_sets(g: Graph):
-    sets = [(v,) for v in g.vertices]
-    sets.extend(tuple(sorted(e, key=g.index)) for e in g.edges())
-    return sets
+    return _partial_correlation(_features(ens, a + s + b, feature_grid), ens.n_replicas, alpha, a, s, b)
 
 
 def mrf_order_scan(
@@ -208,41 +214,58 @@ def mrf_order_scan(
     """Test A vs V \\ (A ∪ ∂ᵏA) given ∂ᵏA for each set A and order k.
 
     ``sets`` defaults to all singletons and all edges of ``g``; sets whose
-    complement beyond the boundary is empty are skipped.  ``source`` is
-    either a stacked path covariance (exact route) or a path ensemble
-    (partial-correlation route).  A, its boundary and the rest always
-    cover V, so on the exact route every test reads the one factorization
-    of the stacked covariance, computed on first use and shared with
+    complement beyond the boundary is empty are skipped.  ``orders`` must not
+    repeat.  ``source`` is either a stacked path covariance (exact route) or
+    a path ensemble (partial-correlation route) holding every vertex of
+    ``g``.  Each set is checked once, and each (A, ∂ᵏA, rest) is built once,
+    in the source's label order, from the closed-neighbourhood bitmasks of G
+    and G².  A, its boundary and the rest always cover V, so on the exact
+    route every test reads its rows and columns of the one factorization of
+    the stacked covariance, computed on first use and shared with
     `path_precision_blocks`; on the ensemble route every test reads a Schur
     complement of one correlation matrix of all features, built once.
     """
-    if isinstance(source, StackedCovariance):
-        def run(a, s, b):
-            return exact_gaussian_ci(source, a, s, b, tol)
-    elif isinstance(source, PathEnsemble):
-        if feature_grid is None:
-            feature_grid = [t for t in source.grid if t > 0.0]
-        features = _features(source, source.labels, feature_grid)
-
-        def run(a, s, b):
-            return _partial_correlation(features, source.n_replicas, *_check_triple(source.labels, a, s, b), alpha)
-    else:
+    if not isinstance(source, (StackedCovariance, PathEnsemble)):
         raise TypeError("source must be a StackedCovariance or a PathEnsemble")
     bad = set(orders) - {1, 2}
     if bad:
         raise ValueError(f"unsupported orders {sorted(bad)}")
-    if sets is None:
-        sets = _default_sets(g)
-    vset = set(g.vertices)
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"orders repeat: {list(orders)}")
+    keep = tuple(v for v in source.labels if v in g)
+    if len(keep) < len(g):
+        raise ValueError(f"vertex {next(v for v in g.vertices if v not in keep)!r} not in source")
+    at = {v: j for j, v in enumerate(keep)}  # bit j of a mask stands for keep[j]
+    if isinstance(source, StackedCovariance):
+        test = partial(_exact_report, _marginal_maxima(source, keep), at, len(keep) * source.n_times, tol)
+    else:
+        grid = [t for t in source.grid if t > 0.0] if feature_grid is None else feature_grid
+        test = partial(_partial_correlation, _features(source, source.labels, grid), source.n_replicas, alpha)
+    sets = [(v,) for v in g.vertices] + g.edges() if sets is None else sets
+    if keep != g.vertices:  # the source lists the vertices in another order
+        g = Graph(keep, g.edges())
+    nv = len(keep)
     reports = []
     for a in sets:
+        unknown = [v for v in a if v not in at]
+        if unknown:
+            raise ValueError(f"unknown vertex {unknown[0]!r}")
+        ia = sorted(at[v] for v in a)
+        if len(set(ia)) < len(ia):
+            raise ValueError("duplicate vertex in A")
+        if not ia:
+            raise ValueError("A and B must be nonempty")
+        # tuple([...]), not tuple(generator): on CPython 3.11 the generator form
+        # grew the resident set by about 5 KB per scan of a 6x6 grid
+        a = tuple([keep[j] for j in ia])
         for k in orders:
-            sk = boundary(g, a) if k == 1 else boundary2(g, a)
-            rest = vset - set(a) - sk
-            if not rest:
+            closed, reach = _closed_masks(g, k), 0
+            for j in ia:
+                reach |= closed[j]
+            if reach == (1 << nv) - 1:
                 continue
-            rep = run(tuple(a), tuple(sk), tuple(rest))
-            reports.append(dataclasses.replace(rep, order=k))
+            s = tuple([keep[j] for j in range(nv) if reach >> j & 1 and j not in ia])
+            reports.append(test(a, s, tuple([keep[j] for j in range(nv) if not reach >> j & 1]), k))
     return reports
 
 

@@ -386,6 +386,16 @@ def test_ci_scan_has_no_substeps_option(tmp_path, capsys):
     assert "options/ci-scan" in err and "substeps" in err
 
 
+def test_ci_scan_rejects_a_repeated_order(tmp_path, capsys):
+    chain = Path(__file__).resolve().parents[1] / "demos" / "configs" / "chain.json"
+    cfg = json.loads(chain.read_text())
+    cfg["options"]["ci-scan"]["orders"] = [1, 1, 2]
+    assert main(["ci-scan", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "options/ci-scan/orders" in err and "non-unique" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_inconclusive_ensemble_reports_are_strict_json(tmp_path, capsys):
     # from a point mass the features at t = 0 are constant, so every test is
     # inconclusive and has no statistic

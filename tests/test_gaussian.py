@@ -16,6 +16,7 @@ from netdiff.gaussian import (
     precision_at,
     precision_edges_json,
     GaussianSystem,
+    _step_matrices,
 )
 from netdiff.graphs import (
     Graph,
@@ -344,6 +345,44 @@ def test_path_covariance_with_initial_covariance():
     stacked = path_covariance(sys, [0.0, 1.0], scheme="exact", initial_cov=s1)
     # law of X(2) when X(0) ~ N(0, Sigma(1)) equals Sigma(2) by the flow property
     np.testing.assert_allclose(stacked.matrix, covariance_at(sys, 2.0).sigma, atol=1e-10)
+
+
+def per_pair_path_covariance(sys, grid, scheme, initial_cov=None):
+    """The stacked path covariance filled one (k, l) time block at a time: the oracle."""
+    grid = np.asarray(grid, dtype=float)
+    n, m = sys.n, grid.size - 1
+    steps = [_step_matrices(sys, dt, scheme) for dt in np.diff(grid).tolist()]
+    big = np.zeros((n, m, n, m))
+    v = np.zeros((n, n)) if initial_cov is None else initial_cov
+    for k, (f, q) in enumerate(steps):
+        v = f @ v @ f.T + q
+        c = 0.5 * (v + v.T)
+        big[:, k, :, k] = c
+        for l in range(k + 1, m):
+            c = c @ steps[l][0].T
+            big[:, k, :, l] = c
+            big[:, l, :, k] = c.T
+    return big.reshape(n * m, n * m)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "exact"])
+@pytest.mark.parametrize("with_initial", [False, True], ids=["point", "initial_cov"])
+@pytest.mark.parametrize(
+    "g, shift, grid",
+    [
+        (path_graph(10), -2.5, np.linspace(0.0, 1.0, 33)),
+        (grid_graph(4, 4), -4.5, np.linspace(0.0, 1.0, 9)),
+        (cycle_graph(7), -2.5, np.array([0.0, 0.05, 0.1, 0.3, 0.35, 0.7, 1.0, 1.02])),
+        (path_graph(5), -2.0, np.array([0.0, 1.5])),
+    ],
+    ids=["path10_uniform", "grid4x4_uniform", "cycle7_nonuniform", "path5_one_step"],
+)
+def test_path_covariance_matches_the_per_pair_loop_bit_for_bit(g, shift, grid, scheme, with_initial):
+    sys = build_linear_system(g, shift)
+    a = np.random.default_rng(len(g)).normal(size=(sys.n, sys.n))
+    initial_cov = a @ a.T + np.eye(sys.n) if with_initial else None
+    got = path_covariance(sys, grid, scheme=scheme, initial_cov=initial_cov).matrix
+    assert np.array_equal(got, per_pair_path_covariance(sys, grid, scheme, initial_cov))
 
 
 # ------------------------------------------------------- emitters

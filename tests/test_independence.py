@@ -1,5 +1,6 @@
 """Tests for conditional-independence reports on exact and simulated sources."""
 
+import dataclasses
 import itertools
 import json
 
@@ -19,8 +20,11 @@ from netdiff.gaussian import (
     path_covariance,
     path_precision_blocks,
 )
-from netdiff.graphs import Graph, grid_graph, path_graph
+from netdiff.graphs import Graph, boundary, boundary2, cycle_graph, grid_graph, path_graph
 from netdiff.independence import (
+    _check_triple,
+    _features,
+    _partial_correlation,
     exact_gaussian_ci,
     mrf_order_scan,
     order_summary,
@@ -385,6 +389,95 @@ def test_order_scan_rejects_bad_sets(route, bad_set, message):
         source = simulate_driftless(P5, UNIT, PointMass(0.0), np.linspace(0.0, 1.0, 3), 600, seed=1)
     with pytest.raises(ValueError, match=message):
         mrf_order_scan(P5, source, sets=[bad_set])
+
+
+def per_triple_scan(g, source, orders=(1, 2), sets=None, tol=1e-8, feature_grid=None, alpha=0.01):
+    """The scan as one public test per triple, each checking its triple and
+    rebuilding its boundary, then stamped with its order: the oracle."""
+    if isinstance(source, StackedCovariance):
+        def run(a, s, b):
+            return exact_gaussian_ci(source, a, s, b, tol)
+    else:
+        if feature_grid is None:
+            feature_grid = [t for t in source.grid if t > 0.0]
+        features = _features(source, source.labels, feature_grid)
+
+        def run(a, s, b):
+            return _partial_correlation(features, source.n_replicas, alpha, *_check_triple(source.labels, a, s, b))
+    if sets is None:
+        sets = [(v,) for v in g.vertices] + [tuple(sorted(e, key=g.index)) for e in g.edges()]
+    reports = []
+    for a in sets:
+        for k in orders:
+            sk = boundary(g, a) if k == 1 else boundary2(g, a)
+            rest = set(g.vertices) - set(a) - sk
+            if rest:
+                reports.append(dataclasses.replace(run(tuple(a), tuple(sk), tuple(rest)), order=k))
+    return reports
+
+
+def report_bits(reports):
+    """Every field of every report, floats as their exact hex (an inconclusive report's nan included)."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)) for r in reports]
+
+
+SCAN_GRAPHS = [(path_graph(10), -2.5), (grid_graph(6, 6), -4.5), (cycle_graph(12), -2.5)]
+SCAN_IDS = ["path10", "grid6x6", "cycle12"]
+
+
+def explicit_sets(g):
+    """Multi-vertex sets in and out of label order, and one whose rest is empty."""
+    v = g.vertices
+    return [(v[2], v[0], v[1]), (v[-1], v[0]), (v[len(v) // 2],), tuple(v[1:])]
+
+
+@pytest.mark.parametrize("orders", [(1, 2), (2,)], ids=["orders12", "orders2"])
+@pytest.mark.parametrize("g, shift", SCAN_GRAPHS, ids=SCAN_IDS)
+def test_exact_scan_matches_the_per_triple_loop_bit_for_bit(g, shift, orders):
+    st = path_covariance(build_linear_system(g, shift), np.linspace(0.0, 1.0, 6))
+    for sets in (None, explicit_sets(g)):
+        got = mrf_order_scan(g, st, orders=orders, sets=sets)
+        want = per_triple_scan(g, st, orders=orders, sets=sets)
+        assert got == want and report_bits(got) == report_bits(want)
+    # the explicit family tests fewer (set, order) pairs than it names: one set has an empty rest
+    assert len(got) < len(orders) * len(explicit_sets(g))
+
+
+@pytest.mark.parametrize("orders", [(1, 2), (2,)], ids=["orders12", "orders2"])
+@pytest.mark.parametrize("g, shift", SCAN_GRAPHS, ids=SCAN_IDS)
+def test_ensemble_scan_matches_the_per_triple_loop_bit_for_bit(g, shift, orders):
+    grid = np.linspace(0.0, 1.0, 3)
+    ens = simulate(g, P5_DRIFT, UNIT, PointMass(0.0), grid, 100 * len(g) + 200, seed=5)
+    for sets, times in ((None, None), (explicit_sets(g), [0.0, 1.0])):
+        got = mrf_order_scan(g, ens, orders=orders, sets=sets, feature_grid=times)
+        want = per_triple_scan(g, ens, orders=orders, sets=sets, feature_grid=times)
+        assert report_bits(got) == report_bits(want)
+    # from a point mass the features at t = 0 are constant, so the second family is inconclusive
+    assert {r.verdict for r in got} == {"inconclusive"}
+
+
+def test_scan_reads_the_source_in_its_own_label_order():
+    # a source that lists the vertices in another order, and one that holds more vertices than the graph
+    g = grid_graph(3, 3)
+    sys = build_linear_system(g, -4.5)
+    perm = np.random.default_rng(0).permutation(len(g))
+    shuffled = netdiff.gaussian.GaussianSystem(sys.L[np.ix_(perm, perm)], tuple(g.vertices[i] for i in perm))
+    grid = np.linspace(0.0, 1.0, 5)
+    for st in (path_covariance(sys, grid), path_covariance(shuffled, grid)):
+        for h in (g, g.subgraph(g.vertices[:7])):
+            got = mrf_order_scan(h, st)
+            assert report_bits(got) == report_bits(per_triple_scan(h, st))
+    with pytest.raises(ValueError, match="not in source"):
+        mrf_order_scan(grid_graph(3, 4), st)
+
+
+def test_order_scan_rejects_a_repeated_order():
+    st = euler_stacked(8)
+    assert len(mrf_order_scan(P5, st, orders=(1,))) == 9
+    with pytest.raises(ValueError, match="orders repeat"):
+        mrf_order_scan(P5, st, orders=(1, 1))
+    with pytest.raises(ValueError, match="orders repeat"):
+        mrf_order_scan(P5, st, orders=[2, 1, 2])
 
 
 def test_report_emitters():
