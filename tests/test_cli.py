@@ -806,6 +806,38 @@ def test_constant_diffusion_takes_value_or_matrix_not_both(tmp_path, capsys):
     assert "diffusion section: " in err and "'value'" in err and "'matrix'" in err
 
 
+@pytest.mark.parametrize(
+    "spec, words",
+    [
+        ({"kind": "constant", "params": {"value": 1e400}}, "entries must be finite"),
+        ({"kind": "tanh_diagonal", "params": {"a": [1e400], "b": [0.0]}}, "a and b must be finite"),
+    ],
+    ids=["constant", "tanh_diagonal"],
+)
+def test_infinite_diffusion_is_a_config_error(tmp_path, capsys, spec, words):
+    # an infinite constant used to reach the engine and end in a numerical failure (exit 3)
+    cfg = copy.deepcopy(BASE)
+    cfg["diffusion"] = spec
+    cfg["replicas"] = 10
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "diffusion section: " in err and words in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "graph", "ci-scan", "hc-lab", "girsanov-check", "gaussian"])
+def test_empty_graph_is_a_config_error(tmp_path, capsys, command):
+    # a graph without vertices used to end in an IndexError, or a numpy reduction message
+    cfg = copy.deepcopy(BASE)
+    cfg["graph"] = {"kind": "edges", "edges": []}
+    cfg["replicas"] = 10
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "graph section: the graph has no vertices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_per_vertex_initial_must_cover_every_vertex(tmp_path, capsys):
     cfg = copy.deepcopy(BASE)
     cfg["graph"] = {"kind": "path", "n": 3}

@@ -175,6 +175,15 @@ def test_conditional_covariance_validation():
         conditional_covariance(zero, [1], [2])
 
 
+def test_conditional_covariance_rejects_repeated_labels():
+    # a repeated target gave a singular matrix, and a repeated given label a LinAlgError
+    cov = covariance_at(p5_standard(), 2.0)
+    with pytest.raises(ValueError, match="duplicate vertex in target"):
+        conditional_covariance(cov, [1, 1], [3])
+    with pytest.raises(ValueError, match="duplicate vertex in given"):
+        conditional_covariance(cov, [1], [3, 3])
+
+
 def test_conditional_on_rest_matches_precision_diagonal():
     sys = p5_standard()
     cov = covariance_at(sys, 2.0)
