@@ -3,16 +3,13 @@
 Drifts are written in a small expression language over a vertex's own state
 ``x``, the neighbor state ``y`` (inside ``nbr_sum``/``nbr_avg`` only), the time
 ``t``, and history functionals ``lag(x, tau)``, ``runavg(x, w)``,
-``runmax_norm(x)``.  The language is deliberately closed under exactly the
-operations for which affine-growth and Lipschitz certificates can be derived
-structurally, so validation is a syntax-directed computation rather than an
-empirical test.  Number literals and all constant arithmetic are finite: the
-parser folds every constant operation as it builds it.
+``runmax_norm(x)``.  Number literals and all constant arithmetic are finite:
+the parser folds every constant operation as it builds it, so the canonical
+text of every tree parses again.
 
-Each pass lives on the node classes: ``ev(ctx)`` evaluates a node,
-``ser()`` gives its text and binding precedence, ``growth(v)`` and ``lip(v)``
-give its two certificate records, and ``affine()`` says whether the exact
-Gaussian route can compile it.  A new node type implements all five.
+Each pass lives on the node classes: ``ev(ctx)`` evaluates a node, ``ser()``
+gives its text and binding precedence, and ``affine()`` says whether the exact
+Gaussian route can compile it.  A new node type implements all three.
 
 Evaluation is vectorized: all state arguments carry leading batch axes (the
 replicas, and optionally a block of vertices before them), so the simulation
@@ -27,7 +24,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +37,9 @@ __all__ = [
     "EvalError",
     "ParseError",
     "TanhDiagonalDiffusion",
-    "ValidationReport",
     "parse_drift",
     "serialize",
     "truncated_drift_family",
-    "validate_linear_growth",
-    "validate_lipschitz",
     "zero_drift",
 ]
 
@@ -66,30 +59,15 @@ class EvalError(ValueError):
 # ---------------------------------------------------------------------------
 # AST
 
-_INF = math.inf
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _NEG, _ATOM = 3, 4  # binding precedence of a leading minus and of an atom
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-class _Growth(NamedTuple):
-    c0: float  # constant part of the affine bound
-    cx: float  # coefficient of ||x||_{*,t}
-    cy: float  # coefficient of the (per-neighbor or summed) ||y||_{*,t}
-    mag: float  # uniform magnitude bound, inf if unbounded
-    state_free: bool  # independent of x and y
-
-
-class _Lip(NamedTuple):
-    kx: float  # Lipschitz in ||x - x'||_{*,t}
-    ky: float  # Lipschitz in the degree-normalized neighbor average
-    mag: float
-    state_free: bool
-
-
 class _Node:
-    """Shared defaults: generic children, and certificates that pass
-    through a node's only child (``Component``, ``Neg``)."""
+    """Shared defaults: generic children, and an ``affine()`` that holds for
+    constants only.  A new node type implements ``ev``, ``ser`` and, where it
+    can be affine in a state, ``affine``."""
 
     stateful = False  # reads x, y, t or the neighbor set itself
 
@@ -97,33 +75,15 @@ class _Node:
         kids = (getattr(self, f.name) for f in fields(self))
         return tuple(k for k in kids if isinstance(k, _Node))
 
-    def growth(self, v):
-        (child,) = self.children()
-        return child.growth(v)
-
-    def lip(self, v):
-        (child,) = self.children()
-        return child.lip(v)
-
     def affine(self):
         """Affine in x and the y it reads; by default only a constant, which reads none of x, y and t."""
         return not any(n.stateful for n in _walk(self))
 
 
-class _Own(_Node):
-    """The own state ``x`` and the functionals of its history."""
+class _History(_Node):
+    """Reads the own path on the grid points <= t, never past t."""
 
     stateful = True
-
-    def growth(self, v):
-        return _Growth(0.0, 1.0, 0.0, _INF, False)
-
-    def lip(self, v):
-        return _Lip(1.0, 0.0, _INF, False)
-
-
-class _History(_Own):
-    """Reads the own path on the grid points <= t, never past t."""
 
     def ev(self, ctx):
         if ctx.own_hist is None or ctx.times is None:
@@ -151,17 +111,11 @@ class Num(_Node):
     def ser(self):
         return _fmt(self.value), _ATOM if self.value >= 0 else _NEG
 
-    def growth(self, v):
-        m = abs(self.value)
-        return _Growth(m, 0.0, 0.0, m, True)
-
-    def lip(self, v):
-        return _Lip(0.0, 0.0, abs(self.value), True)
-
 
 @dataclass(frozen=True)
-class OwnState(_Own):
+class OwnState(_Node):
     pos: int = field(default=-1, compare=False, repr=False)
+    stateful = True
 
     def ev(self, ctx):
         return ctx.own
@@ -187,12 +141,6 @@ class NbrState(_Node):
     def affine(self):
         return True
 
-    def growth(self, v):
-        return _Growth(0.0, 0.0, 1.0, _INF, False)
-
-    def lip(self, v):
-        return _Lip(0.0, 1.0, _INF, False)
-
 
 @dataclass(frozen=True)
 class TimeVar(_Node):
@@ -204,15 +152,6 @@ class TimeVar(_Node):
 
     def ser(self):
         return "t", _ATOM
-
-    def growth(self, v):
-        return _Growth(v.horizon, 0.0, 0.0, v.horizon, True)
-
-    def lip(self, v):
-        note = "time-dependent coefficients: constant reported at the given horizon"
-        if note not in v.notes:
-            v.notes.append(note)
-        return _Lip(0.0, 0.0, v.horizon, True)
 
 
 @dataclass(frozen=True)
@@ -244,38 +183,6 @@ class BinOp(_Node):
     def ser(self):
         p = _PREC[self.op]
         return f"{_text(self.left, p)} {self.op} {_text(self.right, p + 1)}", p
-
-    def growth(self, v):
-        l, r = self.left.growth(v), self.right.growth(v)
-        free = l.state_free and r.state_free
-        if self.op in "+-":
-            return _Growth(l.c0 + r.c0, l.cx + r.cx, l.cy + r.cy, l.mag + r.mag, free)
-        if self.op == "*":
-            if l.mag < _INF:
-                return _Growth(l.mag * r.c0, l.mag * r.cx, l.mag * r.cy, l.mag * r.mag, free)
-            if r.mag < _INF:
-                return _Growth(r.mag * l.c0, r.mag * l.cx, r.mag * l.cy, r.mag * l.mag, free)
-            return v.bad(self, "product of two unbounded expressions has no affine growth certificate")
-        # division by a finite nonzero constant, guaranteed by the parser
-        s = 1.0 / abs(_const_value(self.right))
-        return _Growth(s * l.c0, s * l.cx, s * l.cy, s * l.mag, l.state_free)
-
-    def lip(self, v):
-        l, r = self.left.lip(v), self.right.lip(v)
-        if self.op in "+-":
-            return _Lip(l.kx + r.kx, l.ky + r.ky, l.mag + r.mag, l.state_free and r.state_free)
-        if self.op == "*":
-            if l.state_free:
-                return _Lip(l.mag * r.kx, l.mag * r.ky, l.mag * r.mag, r.state_free)
-            if r.state_free:
-                return _Lip(r.mag * l.kx, r.mag * l.ky, l.mag * r.mag, l.state_free)
-            if l.mag < _INF and r.mag < _INF:
-                kx = l.mag * r.kx + r.mag * l.kx
-                ky = l.mag * r.ky + r.mag * l.ky
-                return _Lip(kx, ky, l.mag * r.mag, False)
-            return v.bad(self, "product of unbounded state-dependent expressions is not globally Lipschitz")
-        s = 1.0 / abs(_const_value(self.right))
-        return _Lip(s * l.kx, s * l.ky, s * l.mag, l.state_free)
 
     def affine(self):
         l, r = self.left, self.right
@@ -312,13 +219,6 @@ class Call1(_Node):
     def ser(self):
         return f"{self.fn}({_text(self.arg)})", _ATOM
 
-    def growth(self, v):
-        return _Growth(1.0, 0.0, 0.0, 1.0, self.arg.growth(v).state_free)
-
-    def lip(self, v):
-        c = self.arg.lip(v)
-        return _Lip(c.kx, c.ky, 1.0, c.state_free)
-
 
 @dataclass(frozen=True)
 class Clamp(_Node):
@@ -332,15 +232,6 @@ class Clamp(_Node):
 
     def ser(self):
         return f"clamp({_fmt(self.lo)}, {_fmt(self.hi)})({_text(self.arg)})", _ATOM
-
-    def growth(self, v):
-        c = self.arg.growth(v)
-        m = max(abs(self.lo), abs(self.hi))
-        return _Growth(m, 0.0, 0.0, m, c.state_free)
-
-    def lip(self, v):
-        c = self.arg.lip(v)
-        return _Lip(c.kx, c.ky, max(abs(self.lo), abs(self.hi)), c.state_free)
 
 
 @dataclass(frozen=True)
@@ -367,28 +258,6 @@ class NbrAgg(_Node):
 
     def affine(self):
         return self.arg.affine()
-
-    def growth(self, v):
-        c = self.arg.growth(v)
-        if self.kind == "avg":
-            # average of per-neighbor bounds never needs the degree
-            return c
-        if c.c0 > 0 or c.cx > 0:
-            if v.degree_bound is None:
-                return v.bad(self, "nbr_sum over an expression with non-neighbor terms requires a degree bound")
-            dg = float(v.degree_bound)
-            return _Growth(dg * c.c0, dg * c.cx, c.cy, dg * c.mag, c.state_free)
-        # pure neighbor content: Σ_u bound folds into the Σ_u ||y_u|| slot
-        return c._replace(mag=0.0 if c.mag == 0.0 else _INF)
-
-    def lip(self, v):
-        c = self.arg.lip(v)
-        if self.kind == "avg":
-            return c
-        if v.degree_bound is None:
-            return v.bad(self, "nbr_sum requires a degree bound for a Lipschitz certificate")
-        dg = float(v.degree_bound)
-        return _Lip(dg * c.kx, dg * c.ky, dg * c.mag if c.mag < _INF else _INF, c.state_free)
 
 
 @dataclass(frozen=True)
@@ -784,75 +653,6 @@ def evaluate_vectorized(spec: DriftSpec, ctx: EvalContext, d: int):
 
 
 # ---------------------------------------------------------------------------
-# validation
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of a structural certificate computation.
-
-    ``passed`` is true exactly when ``violations`` is empty.  Constants are
-    None when the corresponding certificate was not requested or could not be
-    derived.
-    """
-
-    kind: str
-    violations: list
-    growth_constant: float = None
-    lipschitz_constant: float = None
-    diffusion_lipschitz: float = None
-    notes: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class _Walk:
-    """Settings and findings of one certificate walk over an AST."""
-
-    rejected: tuple  # the record of a node that breaks a rule
-    horizon: float
-    degree_bound: object
-    violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-
-    def bad(self, node, rule):
-        self.violations.append((serialize(node), rule))
-        return self.rejected
-
-
-def validate_linear_growth(spec: DriftSpec, horizon: float, degree_bound=None) -> ValidationReport:
-    """Derive |b| ≤ C(1 + ||x|| + Σ_u ||y_u||) structurally.
-
-    Every admissible node maps to an affine certificate; products need one
-    uniformly bounded factor, and ``nbr_sum`` over expressions that mention
-    anything besides y needs ``degree_bound``.
-    """
-    v = _Walk(_Growth(_INF, _INF, _INF, _INF, False), horizon, degree_bound)
-    root = spec.ast.growth(v)
-    growth = None if v.violations else max(root.c0, root.cx, root.cy)
-    return ValidationReport(kind="growth", violations=v.violations, growth_constant=growth, notes=v.notes)
-
-
-def validate_lipschitz(spec: DriftSpec, diffusion=None, degree_bound=None, horizon: float = 1.0) -> ValidationReport:
-    """Derive a global Lipschitz certificate in (own sup norm, normalized
-    neighbor average).  Products require a constant or two bounded factors;
-    ``nbr_sum`` requires a degree bound.  The constant scales with the horizon
-    whenever ``t`` multiplies state, and the report notes that."""
-    v = _Walk(_Lip(_INF, _INF, _INF, False), horizon, degree_bound)
-    root = spec.ast.lip(v)
-    return ValidationReport(
-        kind="lipschitz",
-        violations=v.violations,
-        lipschitz_constant=None if v.violations else max(root.kx, root.ky),
-        diffusion_lipschitz=None if diffusion is None else diffusion.lipschitz_bound(),
-        notes=v.notes,
-    )
-
-
-# ---------------------------------------------------------------------------
 # diffusion specifications
 
 
@@ -863,6 +663,8 @@ class ConstantDiffusion:
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
             raise ValueError("diffusion matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("diffusion matrix entries must be finite")
         try:
             inv = np.linalg.inv(m)
         except np.linalg.LinAlgError:
@@ -891,15 +693,6 @@ class ConstantDiffusion:
             return b * self._ssti[0, 0]
         return b @ self._ssti
 
-    def operator_norm(self):
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def inverse_norm(self):
-        return float(np.linalg.norm(self.inverse, 2))
-
-    def lipschitz_bound(self):
-        return 0.0
-
 
 class TanhDiagonalDiffusion:
     """Diagonal state-dependent diffusion σ_ii(x) = a_i + b_i tanh(x_i).
@@ -914,7 +707,9 @@ class TanhDiagonalDiffusion:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("a and b must be vectors of equal length")
-        if not np.all(np.abs(b) >= 0) or not np.all(a > np.abs(b)):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("a and b must be finite")
+        if not np.all(a > np.abs(b)):
             raise ValueError("require a_i > |b_i| >= 0 for uniform invertibility")
         self.a = a
         self.b = b
@@ -931,15 +726,6 @@ class TanhDiagonalDiffusion:
 
     def sigma_sigmaT_inv_vec(self, x, v):
         return v / self.entries(x) ** 2
-
-    def operator_norm(self):
-        return float(np.max(self.a + np.abs(self.b)))
-
-    def inverse_norm(self):
-        return float(1.0 / np.min(self.a - np.abs(self.b)))
-
-    def lipschitz_bound(self):
-        return float(np.max(np.abs(self.b)))
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,8 @@ def build_graph(cfg: dict):
         else:  # file
             with open(spec["path"], encoding="utf-8") as fh:
                 g = graphs.parse_edge_list(fh.read())
+        if not g.vertices:
+            raise ValueError("the graph has no vertices")
         return g if "root" not in spec else g.with_root(resolve_vertex(g, spec["root"]))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"graph section: {exc}") from exc

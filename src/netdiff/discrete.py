@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, _closed_masks, _truncate, boundary2, cliques, square_graph
+from .graphs import Graph, _closed_masks, _split, _truncate, boundary2, cliques, square_graph
 from .graphs import _graph_from_json, _graph_to_json, _label_from_json, _label_to_json
 
 __all__ = [
@@ -84,14 +84,9 @@ class _Plan:
         out = self._subsets[order] = []
         for r in range(1, nv + 1):
             for a in itertools.combinations(range(nv), r):
-                reach = 0
-                for i in a:
-                    reach |= closed[i]
-                if reach == (1 << nv) - 1:
-                    continue
-                s = tuple(i for i in range(nv) if reach >> i & 1 and i not in a)
-                rest = tuple(i for i in range(nv) if not reach >> i & 1)
-                out.append((tuple(g.vertices[i] for i in a), tuple(g.vertices[i] for i in s), a + s + rest))
+                s, rest = _split(closed, a, range(nv))
+                if rest:
+                    out.append((tuple(g.vertices[i] for i in a), tuple(g.vertices[i] for i in s), a + s + rest))
         return out
 
 

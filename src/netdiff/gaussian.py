@@ -175,6 +175,9 @@ def conditional_covariance(cov: CovarianceResult, target: Sequence, given: Seque
         raise ValueError(f"unknown label {bad.args[0]!r}") from None
     if not ti:
         raise ValueError("target set is empty")
+    for name, idx in (("target", ti), ("given", gi)):
+        if len(set(idx)) < len(idx):
+            raise ValueError(f"duplicate vertex in {name}")
     if set(ti) & set(gi):
         raise ValueError("target and given sets overlap")
     return _schur_complement(cov.sigma, ti, gi)

@@ -214,6 +214,18 @@ def _closed_masks(g: Graph, order: int) -> tuple:
     return g._closed[order]
 
 
+def _split(closed: tuple, a, names) -> tuple:
+    """(S, rest): ∂ᵏA and V beyond it for index set ``a`` and order-k ``closed`` masks, as ``names[i]`` in index order."""
+    reach = 0
+    for i in a:
+        reach |= closed[i]
+    if reach == (1 << len(closed)) - 1:  # A's closed neighbourhood covers V: no rest, and no test
+        return (), ()
+    # tuple([...]), not tuple(generator), which grew the RSS by about 5 KB per exact scan of a 6x6 grid
+    s = tuple([names[i] for i in range(len(closed)) if reach >> i & 1 and i not in a])
+    return s, tuple([names[i] for i in range(len(closed)) if not reach >> i & 1])
+
+
 def cliques(g: Graph, order: int):
     """All nonempty vertex sets of diameter at most ``order`` (1 or 2).
 

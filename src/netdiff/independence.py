@@ -29,7 +29,7 @@ import numpy as np
 
 from .engine import PathEnsemble
 from .gaussian import StackedCovariance, _precision_block_maxima, _schur_complement
-from .graphs import Graph, _closed_masks
+from .graphs import Graph, _closed_masks, _split
 
 __all__ = [
     "CITestReport",
@@ -244,7 +244,6 @@ def mrf_order_scan(
     sets = [(v,) for v in g.vertices] + g.edges() if sets is None else sets
     if keep != g.vertices:  # the source lists the vertices in another order
         g = Graph(keep, g.edges())
-    nv = len(keep)
     reports = []
     for a in sets:
         unknown = [v for v in a if v not in at]
@@ -255,17 +254,11 @@ def mrf_order_scan(
             raise ValueError("duplicate vertex in A")
         if not ia:
             raise ValueError("A and B must be nonempty")
-        # tuple([...]), not tuple(generator): on CPython 3.11 the generator form
-        # grew the resident set by about 5 KB per scan of a 6x6 grid
         a = tuple([keep[j] for j in ia])
         for k in orders:
-            closed, reach = _closed_masks(g, k), 0
-            for j in ia:
-                reach |= closed[j]
-            if reach == (1 << nv) - 1:
-                continue
-            s = tuple([keep[j] for j in range(nv) if reach >> j & 1 and j not in ia])
-            reports.append(test(a, s, tuple([keep[j] for j in range(nv) if not reach >> j & 1]), k))
+            s, rest = _split(_closed_masks(g, k), ia, keep)
+            if rest:
+                reports.append(test(a, s, rest, k))
     return reports
 
 

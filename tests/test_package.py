@@ -22,7 +22,7 @@ TOP_LEVEL = {
     "projection_counterexample_search", "random_factor_model", "regular_tree", "reports_to_csv",
     "reports_to_json", "save_ensemble", "simulate", "simulate_driftless", "simulate_truncated",
     "square_graph", "total_variation", "truncated_drift_family", "truncation_convergence",
-    "validate_config", "validate_linear_growth", "validate_lipschitz", "z_line", "zero_drift",
+    "validate_config", "z_line", "zero_drift",
 }
 
 MODULES = ("coefficients", "config", "discrete", "engine", "gaussian", "graphs", "independence", "initials")
