@@ -4,8 +4,9 @@ Drifts are written in a small expression language over a vertex's own state
 ``x``, the neighbor state ``y`` (inside ``nbr_sum``/``nbr_avg`` only), the time
 ``t``, and history functionals ``lag(x, tau)``, ``runavg(x, w)``,
 ``runmax_norm(x)``.  Number literals and all constant arithmetic are finite:
-the parser folds every constant operation as it builds it, so the canonical
-text of every tree parses again.
+the parser evaluates every constant operation it builds and rejects a
+non-finite one, but keeps it in the tree (``2*3*x`` stays ``2 * 3 * x``), so
+the canonical text of every tree parses again.
 
 Each pass lives on the node classes: ``ev(ctx)`` evaluates a node, ``ser()``
 gives its text and binding precedence, and ``affine()`` says whether the exact
@@ -103,7 +104,6 @@ class _History(_Node):
 @dataclass(frozen=True)
 class Num(_Node):
     value: float
-    pos: int = field(default=-1, compare=False, repr=False)
 
     def ev(self, ctx):
         return self.value
@@ -114,7 +114,6 @@ class Num(_Node):
 
 @dataclass(frozen=True)
 class OwnState(_Node):
-    pos: int = field(default=-1, compare=False, repr=False)
     stateful = True
 
     def ev(self, ctx):
@@ -129,7 +128,6 @@ class OwnState(_Node):
 
 @dataclass(frozen=True)
 class NbrState(_Node):
-    pos: int = field(default=-1, compare=False, repr=False)
     stateful = True
 
     def ev(self, ctx):
@@ -144,7 +142,6 @@ class NbrState(_Node):
 
 @dataclass(frozen=True)
 class TimeVar(_Node):
-    pos: int = field(default=-1, compare=False, repr=False)
     stateful = True
 
     def ev(self, ctx):
@@ -158,7 +155,6 @@ class TimeVar(_Node):
 class Component(_Node):
     base: object
     index: int
-    pos: int = field(default=-1, compare=False, repr=False)
 
     def ev(self, ctx):
         base = self.base.ev(ctx)
@@ -175,7 +171,6 @@ class BinOp(_Node):
     op: str
     left: object
     right: object
-    pos: int = field(default=-1, compare=False, repr=False)
 
     def ev(self, ctx):
         return _OPS[self.op](self.left.ev(ctx), self.right.ev(ctx))
@@ -195,7 +190,6 @@ class BinOp(_Node):
 @dataclass(frozen=True)
 class Neg(_Node):
     arg: object
-    pos: int = field(default=-1, compare=False, repr=False)
 
     def ev(self, ctx):
         return -self.arg.ev(ctx)
@@ -211,7 +205,6 @@ class Neg(_Node):
 class Call1(_Node):
     fn: str  # sin | cos | tanh
     arg: object
-    pos: int = field(default=-1, compare=False, repr=False)
 
     def ev(self, ctx):
         return getattr(np, self.fn)(self.arg.ev(ctx))
@@ -225,7 +218,6 @@ class Clamp(_Node):
     lo: float
     hi: float
     arg: object
-    pos: int = field(default=-1, compare=False, repr=False)
 
     def ev(self, ctx):
         return np.clip(self.arg.ev(ctx), self.lo, self.hi)
@@ -238,7 +230,6 @@ class Clamp(_Node):
 class NbrAgg(_Node):
     kind: str  # sum | avg
     arg: object
-    pos: int = field(default=-1, compare=False, repr=False)
     stateful = True
 
     def ev(self, ctx):
@@ -263,7 +254,6 @@ class NbrAgg(_Node):
 @dataclass(frozen=True)
 class Lag(_History):
     tau: float
-    pos: int = field(default=-1, compare=False, repr=False)
 
     def read(self, t, times, hist):
         s = max(0.0, t - self.tau)
@@ -279,7 +269,6 @@ class Lag(_History):
 @dataclass(frozen=True)
 class RunAvg(_History):
     window: object  # positive float, or None meaning the whole past [0, t]
-    pos: int = field(default=-1, compare=False, repr=False)
 
     def read(self, t, times, hist):
         lo = 0.0 if self.window is None else max(0.0, t - self.window)
@@ -297,8 +286,6 @@ class RunAvg(_History):
 
 @dataclass(frozen=True)
 class RunMaxNorm(_History):
-    pos: int = field(default=-1, compare=False, repr=False)
-
     def read(self, t, times, hist):
         norms = np.sqrt((hist**2).sum(axis=-1))
         return norms.max(axis=-1, keepdims=True)
@@ -309,9 +296,6 @@ class RunMaxNorm(_History):
 
     def ser(self):
         return "runmax_norm(x)", _ATOM
-
-
-_UNARY_FNS = ("sin", "cos", "tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +333,13 @@ def _tokenize(src):
     return toks
 
 
+# builtin -> (number of arguments, node class); clamp takes its operand in a second pair of parentheses
+_BUILTINS = {
+    "sin": (1, Call1), "cos": (1, Call1), "tanh": (1, Call1), "clamp": (2, Clamp),
+    "nbr_sum": (1, NbrAgg), "nbr_avg": (1, NbrAgg), "lag": (2, Lag), "runavg": (2, RunAvg), "runmax_norm": (1, RunMaxNorm),
+}
+
+
 class _Parser:
     def __init__(self, src):
         self.toks = _tokenize(src)
@@ -365,8 +356,8 @@ class _Parser:
     def expect(self, kind, value=None):
         tok = self.next()
         if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok[1]!r}", tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {value or kind!r}, found {found}", tok[2])
         return tok
 
     # expr := term (('+'|'-') term)*
@@ -396,11 +387,9 @@ class _Parser:
 
     def unary(self, in_nbr):
         if self.peek()[:2] == ("sym", "-"):
-            _, _, pos = self.next()
+            self.next()
             arg = self.unary(in_nbr)
-            if isinstance(arg, Num):
-                return Num(-arg.value, pos=pos)
-            return Neg(arg, pos=pos)
+            return Num(-arg.value) if isinstance(arg, Num) else Neg(arg)
         return self.postfix(in_nbr)
 
     def postfix(self, in_nbr):
@@ -409,95 +398,77 @@ class _Parser:
             _, _, pos = self.next()
             if not isinstance(node, (OwnState, NbrState)):
                 raise ParseError("component access applies to x or y only", pos)
-            tok = self.expect("num")
-            idx = tok[1]
+            _, idx, ipos = self.expect("num")
             if idx != int(idx) or idx < 0:
-                raise ParseError("component index must be a nonnegative integer", tok[2])
+                raise ParseError("component index must be a nonnegative integer", ipos)
             self.expect("sym", "]")
-            node = Component(node, int(idx), pos=pos)
+            node = Component(node, int(idx))
         return node
+
+    def args(self, n, pos, in_nbr):
+        """``(e, ...)``: exactly n comma-separated expressions for the builtin at ``pos``."""
+        self.expect("sym", "(")
+        out = [self.expr(in_nbr)]
+        while self.peek()[:2] == ("sym", ","):
+            self.next()
+            out.append(self.expr(in_nbr))
+        self.expect("sym", ")")
+        if len(out) != n:
+            raise ParseError(f"expected {n} argument{'s' * (n > 1)}, found {len(out)}", pos)
+        return out
 
     def primary(self, in_nbr):
         kind, val, pos = self.next()
         if kind == "num":
-            return Num(val, pos=pos)
+            return Num(val)
         if kind == "sym" and val == "(":
             node = self.expr(in_nbr)
             self.expect("sym", ")")
             return node
         if kind != "name":
-            raise ParseError(f"unexpected token {val!r}", pos)
+            raise ParseError("unexpected end of input" if kind == "end" else f"unexpected token {val!r}", pos)
         if val == "x":
-            return OwnState(pos=pos)
+            return OwnState()
         if val == "y":
             if not in_nbr:
                 raise ParseError("y is only meaningful inside nbr_sum/nbr_avg", pos)
-            return NbrState(pos=pos)
+            return NbrState()
         if val == "t":
-            return TimeVar(pos=pos)
-        if val in _UNARY_FNS:
-            self.expect("sym", "(")
-            arg = self.expr(in_nbr)
-            self.expect("sym", ")")
-            return Call1(val, arg, pos=pos)
-        if val == "clamp":
-            self.expect("sym", "(")
-            lo_node = self.expr(in_nbr)
-            self.expect("sym", ",")
-            hi_node = self.expr(in_nbr)
-            self.expect("sym", ")")
-            lo, hi = _const_value(lo_node), _const_value(hi_node)
+            return TimeVar()
+        if val not in _BUILTINS:
+            raise ParseError(f"unknown identifier {val!r}", pos)
+        arity, cls = _BUILTINS[val]
+        if cls is NbrAgg and in_nbr:
+            raise ParseError("neighbor aggregates cannot nest", pos)
+        args = self.args(arity, pos, in_nbr or cls is NbrAgg)
+        if cls is Call1 or cls is NbrAgg:
+            return cls(val.removeprefix("nbr_"), *args)  # the function, or the aggregate's sum | avg
+        if cls is Clamp:
+            lo, hi = map(_const_value, args)
             if lo is None or hi is None:
                 raise ParseError("clamp bounds must be finite constants", pos)
             if lo > hi:
                 raise ParseError("clamp bounds must satisfy lo <= hi", pos)
-            self.expect("sym", "(")
-            arg = self.expr(in_nbr)
-            self.expect("sym", ")")
-            return Clamp(lo, hi, arg, pos=pos)
-        if val in ("nbr_sum", "nbr_avg"):
-            if in_nbr:
-                raise ParseError("neighbor aggregates cannot nest", pos)
-            self.expect("sym", "(")
-            arg = self.expr(True)
-            self.expect("sym", ")")
-            return NbrAgg(val[4:], arg, pos=pos)
-        if val == "lag":
-            self.expect("sym", "(")
-            self.expect("name", "x")
-            self.expect("sym", ",")
-            tau_node = self.expr(in_nbr)
-            self.expect("sym", ")")
-            tau = _const_value(tau_node)
-            if tau is None or tau < 0:
+            return Clamp(lo, hi, *self.args(1, pos, in_nbr))
+        if not isinstance(args[0], OwnState):
+            raise ParseError(f"{val} reads the own path x only", pos)
+        if cls is RunMaxNorm:
+            return RunMaxNorm()
+        c = _const_value(args[1])
+        if cls is Lag:
+            if c is None or c < 0:
                 raise ParseError("lag delay must be a nonnegative finite constant", pos)
-            return Lag(tau, pos=pos)
-        if val == "runavg":
-            self.expect("sym", "(")
-            self.expect("name", "x")
-            self.expect("sym", ",")
-            kind2, val2, pos2 = self.peek()
-            if kind2 == "name" and val2 == "t":
-                self.next()
-                window = None
-            else:
-                wnode = self.expr(in_nbr)
-                window = _const_value(wnode)
-                if window is None or window <= 0:
-                    raise ParseError("runavg window must be a positive finite constant or t", pos2)
-            self.expect("sym", ")")
-            return RunAvg(window, pos=pos)
-        if val == "runmax_norm":
-            self.expect("sym", "(")
-            self.expect("name", "x")
-            self.expect("sym", ")")
-            return RunMaxNorm(pos=pos)
-        raise ParseError(f"unknown identifier {val!r}", pos)
+            return Lag(c)
+        if isinstance(args[1], TimeVar):
+            return RunAvg(None)
+        if c is None or c <= 0:
+            raise ParseError("runavg window must be a positive finite constant or t", pos)
+        return RunAvg(c)
 
 
 def _binop(op, left, right, pos):
-    """A BinOp node; constant arithmetic is folded here and must stay finite."""
-    node = BinOp(op, left, right, pos=pos)
+    """A BinOp node; a constant one stays in the tree, evaluated only to check that it is finite."""
+    node = BinOp(op, left, right)
     if not any(n.stateful for n in _walk(node)) and not math.isfinite(node.ev(None)):
         raise ParseError("constant arithmetic overflows a float", pos)
     return node
@@ -669,12 +640,13 @@ class ConstantDiffusion:
             inv = np.linalg.inv(m)
         except np.linalg.LinAlgError:
             raise ValueError("diffusion matrix must be invertible") from None
-        if not np.all(np.isfinite(inv)):
-            raise ValueError("diffusion matrix must be invertible")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ssti = inv.T @ inv  # (σ σᵀ)⁻¹ applied to row vectors
+        if not np.all(np.isfinite(ssti)):  # so is a non-finite inv
+            raise ValueError("diffusion matrix must be invertible with a finite (σ σᵀ)⁻¹")
         self.matrix = m
         self.inverse = inv
-        # (σ σᵀ)⁻¹ applied to row vectors
-        self._ssti = inv.T @ inv
+        self._ssti = ssti
         self.d = m.shape[0]
 
     def noise_increment(self, x, z):

@@ -419,6 +419,8 @@ def conditional_specification(m: FactorModel, a_set, joint: JointTable | None = 
     a = tuple(sorted(a_set, key=g.index))
     if not a:
         raise ValueError("target set is empty")
+    if len(set(a)) < len(a):
+        raise ValueError("duplicate vertex in target")
     b = tuple(sorted(boundary2(g, a), key=g.index))
     if joint is None:
         joint = joint_table(m)

@@ -811,11 +811,13 @@ def test_constant_diffusion_takes_value_or_matrix_not_both(tmp_path, capsys):
     [
         ({"kind": "constant", "params": {"value": 1e400}}, "entries must be finite"),
         ({"kind": "tanh_diagonal", "params": {"a": [1e400], "b": [0.0]}}, "a and b must be finite"),
+        ({"kind": "constant", "params": {"value": 1e-200}}, "finite (σ σᵀ)⁻¹"),
     ],
-    ids=["constant", "tanh_diagonal"],
+    ids=["constant", "tanh_diagonal", "tiny_constant"],
 )
 def test_infinite_diffusion_is_a_config_error(tmp_path, capsys, spec, words):
-    # an infinite constant used to reach the engine and end in a numerical failure (exit 3)
+    # an infinite constant used to reach the engine and end in a numerical failure (exit 3);
+    # a tiny one, whose (σ σᵀ)⁻¹ overflows, ran with only a warning
     cfg = copy.deepcopy(BASE)
     cfg["diffusion"] = spec
     cfg["replicas"] = 10
@@ -823,6 +825,18 @@ def test_infinite_diffusion_is_a_config_error(tmp_path, capsys, spec, words):
     assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "diffusion section: " in err and words in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gaussian", "ci-scan", "girsanov-check"])
+def test_tiny_constant_diffusion_is_a_config_error(tmp_path, capsys, command):
+    # girsanov-check used to exit 3 on the overflowed (σ σᵀ)⁻¹, the others 2 with a message from the Gaussian route
+    cfg = copy.deepcopy(BASE)
+    cfg["diffusion"] = {"kind": "constant", "params": {"value": 1e-200}}
+    cfg["replicas"] = 10
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "diffusion section: diffusion matrix must be invertible" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,7 @@
+import math
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from netdiff.coefficients import (
     BinOp,
     Call1,
     Clamp,
+    Component,
     ConstantDiffusion,
     DriftTable,
     EvalContext,
@@ -12,6 +17,7 @@ from netdiff.coefficients import (
     Lag,
     NbrAgg,
     NbrState,
+    Neg,
     Num,
     OwnState,
     ParseError,
@@ -19,6 +25,8 @@ from netdiff.coefficients import (
     RunMaxNorm,
     TanhDiagonalDiffusion,
     TimeVar,
+    _binop,
+    _const_value,
     evaluate_vectorized,
     parse_drift,
     serialize,
@@ -160,6 +168,308 @@ def test_unknown_identifier_reports_position():
     with pytest.raises(ParseError) as err:
         parse_drift("x + bogus")
     assert err.value.position == 4
+
+
+# ---------------------------------------------------------------- the reference parser
+# The parser as it was before every builtin read its arguments through one
+# reader: a hand-written expect("(") ... expect(")") sequence per builtin.  It
+# is kept here, unchanged but for the dropped node positions, as the oracle
+# for the differential test below.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<sym>[-+*/()\[\],]))"
+)
+
+
+def _reference_tokenize(src):
+    toks = []
+    i = 0
+    n = len(src)
+    while i < n:
+        m = _REFERENCE_TOKEN_RE.match(src, i)
+        if m is None or m.end() == i:
+            rest = src[i:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r}", i)
+        if m.group("num") is not None:
+            value = float(m.group("num"))
+            if not math.isfinite(value):
+                raise ParseError("number too large for a float", m.start("num"))
+            toks.append(("num", value, m.start("num")))
+        elif m.group("name") is not None:
+            toks.append(("name", m.group("name"), m.start("name")))
+        else:
+            toks.append(("sym", m.group("sym"), m.start("sym")))
+        i = m.end()
+    toks.append(("end", None, n))
+    return toks
+
+
+class _ReferenceParser:
+    def __init__(self, src):
+        self.toks = _reference_tokenize(src)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind, value=None):
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            want = value if value is not None else kind
+            raise ParseError(f"expected {want!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    # expr := term (('+'|'-') term)*
+    def expr(self, in_nbr):
+        node = self.term(in_nbr)
+        while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
+            _, op, pos = self.next()
+            node = _binop(op, node, self.term(in_nbr), pos)
+        return node
+
+    # term := unary (('*'|'/') unary)*
+    def term(self, in_nbr):
+        node = self.unary(in_nbr)
+        while self.peek()[:2] in (("sym", "*"), ("sym", "/")):
+            _, op, pos = self.next()
+            rhs = self.unary(in_nbr)
+            if op == "/":
+                c = _const_value(rhs)
+                if c is None:
+                    raise ParseError("division requires a finite constant denominator", pos)
+                if c == 0.0:
+                    raise ParseError("division by zero constant", pos)
+                if not math.isfinite(1.0 / c):
+                    raise ParseError("division by a constant whose reciprocal overflows", pos)
+            node = _binop(op, node, rhs, pos)
+        return node
+
+    def unary(self, in_nbr):
+        if self.peek()[:2] == ("sym", "-"):
+            _, _, pos = self.next()
+            arg = self.unary(in_nbr)
+            if isinstance(arg, Num):
+                return Num(-arg.value)
+            return Neg(arg)
+        return self.postfix(in_nbr)
+
+    def postfix(self, in_nbr):
+        node = self.primary(in_nbr)
+        if self.peek()[:2] == ("sym", "["):
+            _, _, pos = self.next()
+            if not isinstance(node, (OwnState, NbrState)):
+                raise ParseError("component access applies to x or y only", pos)
+            tok = self.expect("num")
+            idx = tok[1]
+            if idx != int(idx) or idx < 0:
+                raise ParseError("component index must be a nonnegative integer", tok[2])
+            self.expect("sym", "]")
+            node = Component(node, int(idx))
+        return node
+
+    def primary(self, in_nbr):
+        kind, val, pos = self.next()
+        if kind == "num":
+            return Num(val)
+        if kind == "sym" and val == "(":
+            node = self.expr(in_nbr)
+            self.expect("sym", ")")
+            return node
+        if kind != "name":
+            raise ParseError(f"unexpected token {val!r}", pos)
+        if val == "x":
+            return OwnState()
+        if val == "y":
+            if not in_nbr:
+                raise ParseError("y is only meaningful inside nbr_sum/nbr_avg", pos)
+            return NbrState()
+        if val == "t":
+            return TimeVar()
+        if val in ("sin", "cos", "tanh"):
+            self.expect("sym", "(")
+            arg = self.expr(in_nbr)
+            self.expect("sym", ")")
+            return Call1(val, arg)
+        if val == "clamp":
+            self.expect("sym", "(")
+            lo_node = self.expr(in_nbr)
+            self.expect("sym", ",")
+            hi_node = self.expr(in_nbr)
+            self.expect("sym", ")")
+            lo, hi = _const_value(lo_node), _const_value(hi_node)
+            if lo is None or hi is None:
+                raise ParseError("clamp bounds must be finite constants", pos)
+            if lo > hi:
+                raise ParseError("clamp bounds must satisfy lo <= hi", pos)
+            self.expect("sym", "(")
+            arg = self.expr(in_nbr)
+            self.expect("sym", ")")
+            return Clamp(lo, hi, arg)
+        if val in ("nbr_sum", "nbr_avg"):
+            if in_nbr:
+                raise ParseError("neighbor aggregates cannot nest", pos)
+            self.expect("sym", "(")
+            arg = self.expr(True)
+            self.expect("sym", ")")
+            return NbrAgg(val[4:], arg)
+        if val == "lag":
+            self.expect("sym", "(")
+            self.expect("name", "x")
+            self.expect("sym", ",")
+            tau_node = self.expr(in_nbr)
+            self.expect("sym", ")")
+            tau = _const_value(tau_node)
+            if tau is None or tau < 0:
+                raise ParseError("lag delay must be a nonnegative finite constant", pos)
+            return Lag(tau)
+        if val == "runavg":
+            self.expect("sym", "(")
+            self.expect("name", "x")
+            self.expect("sym", ",")
+            kind2, val2, pos2 = self.peek()
+            if kind2 == "name" and val2 == "t":
+                self.next()
+                window = None
+            else:
+                wnode = self.expr(in_nbr)
+                window = _const_value(wnode)
+                if window is None or window <= 0:
+                    raise ParseError("runavg window must be a positive finite constant or t", pos2)
+            self.expect("sym", ")")
+            return RunAvg(window)
+        if val == "runmax_norm":
+            self.expect("sym", "(")
+            self.expect("name", "x")
+            self.expect("sym", ")")
+            return RunMaxNorm()
+        raise ParseError(f"unknown identifier {val!r}", pos)
+
+
+def _reference_parse(src):
+    p = _ReferenceParser(src)
+    node = p.expr(False)
+    kind, val, pos = p.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input {val!r}", pos)
+    return node
+
+
+_NAMES = ("x", "y", "t", "sin", "cos", "tanh", "clamp", "nbr_sum", "nbr_avg", "lag", "runavg", "runmax_norm", "foo")
+_NUMBERS = ("0", "1", "2.5", ".5", "3.", "01", "0.0", "2e-3", "1e308", "1e400", "1e-320")
+_SYMBOLS = ("+", "-", "*", "/", "(", ")", "[", "]", ",")
+_SPACES = (" ", " ", " ", "", "\t", "\n")
+
+
+def _random_tokens(rng, depth):
+    """A near-grammatical token list: builtins with 0-3 arguments, history arguments often x or t."""
+    r = rng.random()
+    if depth <= 0 or r < 0.25:
+        tok = rng.choice(_NAMES[:3] + _NUMBERS)
+        return [tok, "[", rng.choice(_NUMBERS), "]"] if rng.random() < 0.1 else [tok]
+    if r < 0.45:
+        return _random_tokens(rng, depth - 1) + [rng.choice("+-*/")] + _random_tokens(rng, depth - 1)
+    if r < 0.55:
+        return ["-"] + _random_tokens(rng, depth - 1)
+    if r < 0.65:
+        return ["("] + _random_tokens(rng, depth - 1) + [")"]
+    name = rng.choice(_NAMES[3:])
+    toks = [name, "("]
+    for i in range(rng.choice((0, 1, 1, 2, 2, 3))):
+        bare = rng.choice((["x"], ["(", "x", ")"], ["t"], ["(", "t", ")"]))
+        toks += ([","] if i else []) + (bare if rng.random() < 0.4 else _random_tokens(rng, depth - 1))
+    toks.append(")")
+    if name == "clamp":
+        toks += ["("] + _random_tokens(rng, depth - 1) + [")"]
+    return toks
+
+
+def _random_source(rng):
+    toks = _random_tokens(rng, rng.randrange(1, 5))
+    for _ in range(rng.choice((0, 0, 1, 2))):  # delete, insert or replace a token
+        i = rng.randrange(len(toks) + 1)
+        new = [rng.choice(_NAMES + _NUMBERS + _SYMBOLS)]
+        toks[i : i + rng.randrange(2)] = new if rng.random() < 0.7 else []
+    return "".join(tok + rng.choice(_SPACES) for tok in toks)
+
+
+def _strip_parenthesised_x_t(src):
+    """``src`` with each ``(x)`` or ``(t)`` that is not a call's parentheses written bare."""
+    toks = [m.group().strip() for m in _REFERENCE_TOKEN_RE.finditer(src)]
+    i = 0
+    while i + 2 < len(toks):
+        call = i > 0 and (toks[i - 1] == ")" or toks[i - 1].isidentifier())
+        if toks[i] == "(" and toks[i + 1] in ("x", "t") and toks[i + 2] == ")" and not call:
+            toks[i : i + 3] = [toks[i + 1]]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return " ".join(toks)
+
+
+def test_parser_agrees_with_the_reference_parser_on_random_strings():
+    rng = random.Random(31)
+    accepted = widened = 0
+    for _ in range(20_000):
+        src = _random_source(rng)
+        try:
+            want = _reference_parse(src)
+        except ParseError:
+            want = None
+        try:
+            got = parse_drift(src).ast
+        except ParseError as err:
+            assert 0 <= err.position <= len(src), src
+            assert want is None, src
+            continue
+        if want is None:  # the one widening: a parenthesised x or t argument
+            want = _reference_parse(_strip_parenthesised_x_t(src))
+            widened += 1
+        assert got == want and serialize(got) == serialize(want), src
+        accepted += 1
+    assert accepted >= 2000 and widened >= 10, (accepted, widened)
+
+
+@pytest.mark.parametrize(
+    "src, bare",
+    [
+        ("lag((x), 1)", "lag(x, 1)"),
+        ("runavg(x, (t))", "runavg(x, t)"),
+        ("runavg(((x)), ( t ))", "runavg(x, t)"),
+        ("runmax_norm((x))", "runmax_norm(x)"),
+        ("nbr_sum(y) - lag((x), 0)", "nbr_sum(y) - lag(x, 0)"),
+    ],
+)
+def test_a_parenthesised_x_or_t_argument_stands_for_itself(src, bare):
+    assert parse_drift(src).ast == parse_drift(bare).ast
+    assert parse_drift(src).text == bare
+    with pytest.raises(ParseError):  # the reference parser wanted the bare token
+        _reference_parse(src)
+
+
+@pytest.mark.parametrize("src", ["", "x +", "sin(", "nbr_sum(y", "lag(x, 1"])
+def test_running_out_of_input_says_so(src):
+    with pytest.raises(ParseError, match="end of input") as err:
+        parse_drift(src)
+    assert err.value.position == len(src)
+
+
+@pytest.mark.parametrize(
+    "src, pos",
+    [("sin(x, 2)", 0), ("x + lag(x)", 4), ("clamp(0)(x)", 0), ("clamp(0, 1)(x, 2)", 0), ("-runmax_norm(x, x)", 1)],
+)
+def test_a_wrong_argument_count_is_reported_at_the_call(src, pos):
+    with pytest.raises(ParseError, match="argument") as err:
+        parse_drift(src)
+    assert err.value.position == pos
 
 
 # ---------------------------------------------------------------- evaluation
@@ -312,6 +622,8 @@ def test_constant_diffusion_validation():
         ConstantDiffusion([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="finite"):  # its inverse, 0, was accepted
         ConstantDiffusion([[np.inf]])
+    with pytest.raises(ValueError, match="finite"):  # its (σ σᵀ)⁻¹ overflowed with only a warning
+        ConstantDiffusion([[1e-200]])
     d = ConstantDiffusion([[2.0, 0.0], [0.0, 0.5]])
     z = np.array([[1.0, 2.0]])
     np.testing.assert_allclose(d.noise_increment(None, z), [[2.0, 1.0]])

@@ -490,6 +490,14 @@ def test_conditional_specification_routes_agree_p5():
     np.testing.assert_allclose(ker.table.reshape(16, 2), cond, atol=1e-12)
 
 
+def test_conditional_specification_rejects_a_repeated_target():
+    # a repeated vertex used to reach numpy's transpose ("axes don't match array")
+    m = random_factor_model(path_graph(5), 2, np.random.default_rng(21))
+    for a in ((1, 1), [3, 2, 3]):
+        with pytest.raises(ValueError, match="duplicate vertex in target"):
+            conditional_specification(m, a)
+
+
 def test_conditional_specification_conditions_the_joint_it_is_given():
     g = grid_graph(2, 3)
     rng = np.random.default_rng(25)
